@@ -108,8 +108,8 @@ module Config : sig
             [Journal.open_ ~resume:true] are replayed instead of re-run,
             so a killed campaign resumes with byte-identical output *)
     policy : Kfi_injector.Fleet.policy;
-        (** per-injection wall-clock deadline, retry/backoff/quarantine
-            and fleet degraded-mode knobs *)
+        (** per-injection wall-clock deadline and retry/backoff/quarantine
+            knobs; surviving a dead worker is the supervisor's job *)
     metrics : Kfi_obs.Metrics.t option;
         (** observability registry threaded to the runner(s), fleet and
             journal (phase spans, throughput counters, fsync stalls).

@@ -63,8 +63,8 @@ type t = {
           replayed instead of re-run — a SIGKILL'd campaign restarted
           with the same config produces byte-identical output *)
   policy : Fleet.policy;
-      (** per-injection wall-clock deadline, retry/backoff/quarantine,
-          and fleet heartbeat knobs (see {!Fleet.policy}) *)
+      (** per-injection wall-clock deadline and retry/backoff/quarantine
+          knobs (see {!Fleet.policy}) *)
   metrics : Kfi_obs.Metrics.t option;
       (** observability registry threaded to the runner(s), fleet and
           journal (phase-span histograms, throughput counters, fsync

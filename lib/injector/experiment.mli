@@ -81,8 +81,9 @@ val run_campaign :
     restarted over a [Journal.open_ ~resume:true] handle produces
     byte-identical records, CSV, progress ticks and (volatile-stripped)
     telemetry.  [config.policy] adds per-injection wall-clock deadlines,
-    retry with backoff, quarantine as {!Outcome.Harness_abort}, and
-    fleet degraded mode (see {!Fleet.policy}); progress ticks fire once
+    retry with backoff and quarantine as {!Outcome.Harness_abort} (see
+    {!Fleet.policy}); anything else that fails — a journal append, say —
+    aborts the run at any [jobs]; progress ticks fire once
     per target plus a final 100% tick in every path, including when all
     targets were pruned or journal-skipped. *)
 

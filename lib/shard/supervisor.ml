@@ -36,6 +36,7 @@ module Target = Kfi_injector.Target
 module Outcome = Kfi_injector.Outcome
 module Experiment = Kfi_injector.Experiment
 module M = Kfi_obs.Metrics
+module Tm = Kfi_trace.Telemetry
 
 (* ----- shard + worker-slot state ----- *)
 
@@ -97,21 +98,23 @@ let rec mkdir_p dir =
 
 let now () = Unix.gettimeofday ()
 
-(* One JSONL line per supervisor event — the CI chaos artifact.  Values
-   arrive pre-rendered; keys and string values use OCaml's %S, whose
-   escaping is JSON-compatible for the ASCII content we emit. *)
+let jstr s = Tm.Str s
+let jint i = Tm.Int i
+let jflt f = Tm.Float (Float.round (f *. 1000.) /. 1000.) (* to the ms *)
+
+(* One JSONL line per supervisor event — the CI chaos artifact.  The
+   telemetry encoder renders it, so every line is strict JSON whatever
+   bytes a path or failure reason holds; [ts] and [ev] lead, and the
+   output stays compact ("ev":"death") for line scanners. *)
 let log_event t ev kvs =
   match t.ev_oc with
   | None -> ()
   | Some oc ->
-    Printf.fprintf oc "{\"ts\":%.3f,\"ev\":%S" (now () -. t.t0) ev;
-    List.iter (fun (k, v) -> Printf.fprintf oc ",%S:%s" k v) kvs;
-    output_string oc "}\n";
+    output_string oc
+      (Tm.to_string
+         (Tm.Obj (("ts", jflt (now () -. t.t0)) :: ("ev", Tm.Str ev) :: kvs)));
+    output_char oc '\n';
     flush oc
-
-let jstr s = Printf.sprintf "%S" s
-let jint i = string_of_int i
-let jflt f = Printf.sprintf "%.3f" f
 
 let mincr t ?by key = match t.metrics with Some m -> M.incr m ?by key | None -> ()
 let mgauge t key v = match t.metrics with Some m -> M.set_gauge m key v | None -> ()

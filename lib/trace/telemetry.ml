@@ -216,7 +216,6 @@ let schema =
         "campaign"; "targets"; "run"; "pruned"; "activated"; "aborted"; "wall_s";
         "inj_per_s";
       ] );
-    ("fleet_degraded", [ "campaign"; "reason"; "jobs_left" ]);
   ]
 
 let field obj k = match obj with Obj fs -> List.assoc_opt k fs | _ -> None

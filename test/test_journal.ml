@@ -1,9 +1,8 @@
 (* Crash-safe campaign tests: the CRC-framed journal (round trip, torn
-   tails, fingerprints), the retry/quarantine policy, degraded fleet
-   mode, and the headline robustness property: a campaign killed
-   mid-run and resumed from its journal produces records, CSV, JSONL
-   (timing fields aside) and progress ticks identical to an
-   uninterrupted run. *)
+   tails, fingerprints), the retry/quarantine policy, and the headline
+   robustness property: a campaign killed mid-run and resumed from its
+   journal produces records, CSV, JSONL (timing fields aside) and
+   progress ticks identical to an uninterrupted run. *)
 
 open Kfi_injector
 module Telemetry = Kfi_trace.Telemetry
@@ -419,38 +418,6 @@ let test_kill_resume_determinism () =
   Journal.close j3;
   Sys.remove path
 
-(* ----- degraded fleet mode ----- *)
-
-(* One worker domain is killed mid-campaign; the fleet must requeue its
-   work, finish at reduced parallelism, surface a degradation event and
-   lose zero records. *)
-let test_degraded_fleet_loses_nothing () =
-  let base_records, _, base_ticks = run_a () in
-  let killed = Atomic.make false in
-  let policy =
-    {
-      Fleet.default_policy with
-      Fleet.chaos =
-        Some
-          (fun ~attempt:_ _ ->
-            if Atomic.compare_and_set killed false true then
-              Some (Fleet.Chaos_kill "chaos: worker domain shot")
-            else None);
-    }
-  in
-  let records, jsonl, ticks = run_a ~policy ~jobs:2 () in
-  check bool "one worker was killed" true (Atomic.get killed);
-  check bool "records identical despite a dead worker" true
-    (base_records = records);
-  check bool "CSV identical despite a dead worker" true
-    (String.equal (Experiment.to_csv base_records) (Experiment.to_csv records));
-  check (Alcotest.list (Alcotest.pair int int)) "ticks identical" base_ticks
-    ticks;
-  check bool "degradation event emitted" true
-    (Test_analysis.contains jsonl "fleet_degraded");
-  check bool "event names the death" true
-    (Test_analysis.contains jsonl "worker domain shot")
-
 (* ----- harness abort, end to end -----
 
    Force one real target into quarantine and follow the abort through
@@ -535,6 +502,4 @@ let suite =
       test_deadline_quarantines_wedge;
     Alcotest.test_case "kill/resume determinism (records, CSV, JSONL, ticks)"
       `Slow test_kill_resume_determinism;
-    Alcotest.test_case "degraded fleet loses nothing" `Slow
-      test_degraded_fleet_loses_nothing;
   ]

@@ -1,6 +1,6 @@
-(* Parallel-fleet tests: the claim-once chunk queue under concurrent
-   domains, the Config record defaults, ordered collection through
-   Fleet.run, and the headline determinism property: a jobs:4 campaign
+(* Parallel-fleet tests: the Config record defaults, ordered,
+   exactly-once collection through Fleet.run, failure propagation out of
+   a worker, and the headline determinism property: a jobs:4 campaign
    produces records, CSV, telemetry JSONL (timing fields aside) and
    progress ticks identical to the serial run. *)
 
@@ -15,56 +15,9 @@ let bool = Alcotest.bool
 let runner = Test_injector.runner
 let profile = Test_trace.profile
 
-(* ----- the chunk queue ----- *)
-
-let test_chunks_shapes () =
-  let q = Fleet.Chunks.create ~chunk:4 10 in
-  check (Alcotest.option (Alcotest.pair int int)) "first" (Some (0, 4))
-    (Fleet.Chunks.claim q);
-  check (Alcotest.option (Alcotest.pair int int)) "second" (Some (4, 8))
-    (Fleet.Chunks.claim q);
-  check (Alcotest.option (Alcotest.pair int int)) "ragged tail" (Some (8, 10))
-    (Fleet.Chunks.claim q);
-  check (Alcotest.option (Alcotest.pair int int)) "drained" None
-    (Fleet.Chunks.claim q);
-  check (Alcotest.option (Alcotest.pair int int)) "stays drained" None
-    (Fleet.Chunks.claim q);
-  (* empty queue and bad arguments *)
-  check (Alcotest.option (Alcotest.pair int int)) "empty" None
-    (Fleet.Chunks.claim (Fleet.Chunks.create 0));
-  Alcotest.check_raises "chunk 0 rejected"
-    (Invalid_argument "Fleet.Chunks.create: chunk must be >= 1") (fun () ->
-      ignore (Fleet.Chunks.create ~chunk:0 5));
-  Alcotest.check_raises "negative total rejected"
-    (Invalid_argument "Fleet.Chunks.create: negative total") (fun () ->
-      ignore (Fleet.Chunks.create (-1)))
-
-(* four domains hammering one queue: every index claimed exactly once *)
-let test_chunks_claimed_exactly_once () =
-  let n = 4096 in
-  let q = Fleet.Chunks.create ~chunk:3 n in
-  let claimer () =
-    let rec loop acc =
-      match Fleet.Chunks.claim q with
-      | None -> acc
-      | Some r -> loop (r :: acc)
-    in
-    loop []
-  in
-  let domains = Array.init 4 (fun _ -> Domain.spawn claimer) in
-  let ranges = Array.to_list domains |> List.concat_map Domain.join in
-  let covered = Array.make n 0 in
-  List.iter
-    (fun (lo, hi) ->
-      check bool "range in bounds" true (0 <= lo && lo < hi && hi <= n);
-      for i = lo to hi - 1 do
-        covered.(i) <- covered.(i) + 1
-      done)
-    ranges;
-  Array.iteri
-    (fun i c ->
-      if c <> 1 then Alcotest.failf "index %d claimed %d times" i c)
-    covered
+(* one four-runner pool for every fleet test: booted once, by whichever
+   test needs it first *)
+let pool = lazy (Fleet.create ~jobs:4 (Lazy.force runner))
 
 (* ----- Config ----- *)
 
@@ -109,43 +62,82 @@ let test_facade_resolves_oracle () =
 
 (* ----- Fleet.run collection order ----- *)
 
-(* An all-predicted plan needs no machine, so this exercises the queue +
-   collector machinery in isolation: results arrive via on_result in
-   strict index order, with zero timing and res_predicted set. *)
-let test_fleet_ordered_collection () =
+(* An all-predicted plan needs no machine, so this exercises the claim
+   counter + collector machinery in isolation. *)
+let predicted_items () =
   let r = Lazy.force runner in
-  let fleet = Fleet.create ~jobs:1 r in
-  check int "pool size" 1 (Fleet.size fleet);
-  check bool "primary preserved" true (Fleet.primary fleet == r);
-  let targets =
-    Target.enumerate (Runner.build r) ~campaign:Target.A ~seed:1 [ "schedule" ]
-  in
-  let items =
-    Array.of_list targets
-    |> Array.map (fun t ->
-           {
-             Fleet.it_target = t;
-             it_workload = 0;
-             it_predicted = Some Outcome.Not_manifested;
-             it_done = None;
-           })
-  in
+  Target.enumerate (Runner.build r) ~campaign:Target.A ~seed:1 [ "schedule" ]
+  |> Array.of_list
+  |> Array.map (fun t ->
+         {
+           Fleet.it_target = t;
+           it_workload = 0;
+           it_predicted = Some Outcome.Not_manifested;
+           it_done = None;
+         })
+
+(* results arrive via on_result in strict index order, with zero timing
+   and res_predicted set; on_complete fires exactly once per index *)
+let test_fleet_ordered_collection () =
+  let fleet = Lazy.force pool in
+  check int "pool size" 4 (Fleet.size fleet);
+  check bool "primary preserved" true
+    (Fleet.primary fleet == Lazy.force runner);
+  let items = predicted_items () in
+  let n = Array.length items in
+  let completed = Array.init n (fun _ -> Atomic.make 0) in
   let seen = ref [] in
   let results =
     (* jobs above the pool size must clamp, not crash *)
-    Fleet.run ~jobs:5 ~chunk:7
+    Fleet.run ~jobs:5
+      ~on_complete:(fun i _ _ -> Atomic.incr completed.(i))
       ~on_result:(fun i _ res ->
         seen := i :: !seen;
         check bool "predicted" true res.Fleet.res_predicted;
         check int "zero cycles" 0 res.Fleet.res_timing.Fleet.cycles)
       fleet items
   in
-  check int "all results" (Array.length items) (Array.length results);
-  let expected = List.init (Array.length items) (fun i -> i) in
-  check (Alcotest.list int) "on_result in serial order" expected (List.rev !seen);
+  check int "all results" n (Array.length results);
+  check (Alcotest.list int) "on_result in serial order" (List.init n Fun.id)
+    (List.rev !seen);
+  Array.iteri
+    (fun i c ->
+      if Atomic.get c <> 1 then
+        Alcotest.failf "on_complete fired %d times for index %d" (Atomic.get c) i)
+    completed;
   (* a collector callback failure must not hang the fleet *)
   Alcotest.check_raises "collector exception propagates" Exit (fun () ->
       ignore (Fleet.run ~on_result:(fun _ _ _ -> raise Exit) fleet items))
+
+(* A worker-side failure (a journal append raising in on_complete) stops
+   the run and re-raises on the caller, as the serial path does: no hang,
+   and nothing is turned into a Harness_abort record. *)
+exception Append_failed
+
+let test_fleet_worker_failure_raises () =
+  let fleet = Lazy.force pool in
+  let items = predicted_items () in
+  let bad = Array.length items / 2 in
+  let surfaced = ref [] in
+  Alcotest.check_raises "on_complete exception re-raised" Append_failed
+    (fun () ->
+      ignore
+        (Fleet.run ~jobs:2
+           ~on_complete:(fun i _ _ -> if i = bad then raise Append_failed)
+           ~on_result:(fun _ _ res -> surfaced := res :: !surfaced)
+           fleet items));
+  check bool "stopped before the failed index surfaced" true
+    (List.length !surfaced <= bad);
+  check bool "no Harness_abort record" true
+    (List.for_all
+       (fun res ->
+         match res.Fleet.res_outcome with
+         | Outcome.Harness_abort _ -> false
+         | _ -> true)
+       !surfaced);
+  (* the pool is left usable: every domain was joined *)
+  check int "pool reusable" (Array.length items)
+    (Array.length (Fleet.run ~jobs:2 fleet items))
 
 (* ----- the headline determinism property ----- *)
 
@@ -165,7 +157,8 @@ let run_campaign_a ~jobs =
       ~on_progress:(fun ~done_ ~total -> ticks := (done_, total) :: !ticks)
       ~jobs ()
   in
-  let records = Experiment.run_campaign ~config r p Target.A in
+  let fleet = if jobs > 1 then Some (Lazy.force pool) else None in
+  let records = Experiment.run_campaign ~config ?fleet r p Target.A in
   (records, Buffer.contents buf, List.rev !ticks)
 
 let test_jobs4_identical_to_serial () =
@@ -193,14 +186,13 @@ let test_jobs4_identical_to_serial () =
 
 let suite =
   [
-    Alcotest.test_case "chunk queue shapes" `Quick test_chunks_shapes;
-    Alcotest.test_case "chunk queue: claimed exactly once (4 domains)" `Quick
-      test_chunks_claimed_exactly_once;
     Alcotest.test_case "Config.default fields" `Quick test_config_default_fields;
     Alcotest.test_case "facade resolves oracle once" `Quick
       test_facade_resolves_oracle;
     Alcotest.test_case "fleet ordered collection" `Slow
       test_fleet_ordered_collection;
+    Alcotest.test_case "fleet worker failure re-raised" `Slow
+      test_fleet_worker_failure_raises;
     Alcotest.test_case "jobs:4 = jobs:1 (records, CSV, JSONL, ticks)" `Slow
       test_jobs4_identical_to_serial;
   ]

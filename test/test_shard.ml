@@ -292,9 +292,14 @@ let count_ev dir ev =
    kernel boots in any worker. *)
 let test_poison_shards_quarantined () =
   let r = Lazy.force runner and p = Lazy.force profile in
-  let dir = tmp_dir () in
+  (* a shard dir with a non-ASCII byte sequence and a quote: the event
+     log must still be strict JSON *)
+  let parent = tmp_dir () in
+  let dir = Filename.concat parent "sh\xc3\xa4rd \"q\"" in
   Fun.protect
-    ~finally:(fun () -> rm_rf dir)
+    ~finally:(fun () ->
+      rm_rf dir;
+      rm_rf parent)
     (fun () ->
       let config =
         sup_config ~dir ~shards:2 ~poison_deaths:2
@@ -315,7 +320,19 @@ let test_poison_shards_quarantined () =
       check int "two shards quarantined" 2 (count_ev dir "quarantine");
       (* exactly-once requeue per death, and only non-final deaths requeue *)
       check int "one requeue per shard" 2 (count_ev dir "requeue");
-      check int "four deaths total" 4 (count_ev dir "death"))
+      check int "four deaths total" 4 (count_ev dir "death");
+      List.iteri
+        (fun i line ->
+          match Kfi_trace.Telemetry.parse line with
+          | Kfi_trace.Telemetry.Obj fields -> (
+            match List.assoc_opt "dir" fields with
+            | Some (Kfi_trace.Telemetry.Str d) ->
+              check Alcotest.string "dir round-trips" dir d
+            | _ -> ())
+          | _ -> Alcotest.failf "events.jsonl line %d: not an object" (i + 1)
+          | exception Kfi_trace.Telemetry.Parse_error e ->
+            Alcotest.failf "events.jsonl line %d: %s: %s" (i + 1) e line)
+        (read_events dir))
 
 (* A wedged worker (claims, then sleeps forever) must be heartbeat-
    killed; two consecutive wedges quarantine the shard. *)
