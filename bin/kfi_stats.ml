@@ -55,11 +55,13 @@ let render ~header (s : Metrics.snap) =
   let count = c "inj.count" and act = c "inj.activated" in
   if count > 0 || c "campaign.targets" > 0 then begin
     Buffer.add_string buf
-      (Printf.sprintf "  injections   %s run, %s activated%s\n" (fmt_count count)
-         (fmt_count act)
+      (Printf.sprintf
+         "  injections   %s run, %s activated%s, %s skipped (golden never fetched)\n"
+         (fmt_count count) (fmt_count act)
          (if count > 0 then
             Printf.sprintf " (%.1f%%)" (100. *. float_of_int act /. float_of_int count)
-          else ""));
+          else "")
+         (fmt_count (c "inj.skipped")));
     Buffer.add_string buf
       (Printf.sprintf "  campaign     %s targets, %s pruned, %s replayed\n"
          (fmt_count (c "campaign.targets"))

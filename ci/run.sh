@@ -30,6 +30,19 @@ dune exec bin/kfi_fuzz.exe -- --prop all --seed 42 \
 }
 cat _artifacts/fuzz.txt
 
+echo "== skip audit: golden-coverage skips against real runs (seed 42, 200 cases) =="
+# Runner.inject answers targets the golden run never fetched without
+# simulating them; this re-runs random targets through Runner.run_one and
+# demands the same outcome and cycle count.  A fixed case count, not a
+# time budget, so a slow host cannot starve the audit.
+dune exec bin/kfi_fuzz.exe -- --prop runner.skip_exact --seed 42 --cases 200 \
+  --stats > _artifacts/skip_audit.txt 2>&1 || {
+  cat _artifacts/skip_audit.txt
+  echo "skip audit failed: replay locally with the --seed/--replay pair above" >&2
+  exit 1
+}
+cat _artifacts/skip_audit.txt
+
 echo "== traced campaign (-j 2): CSV + JSONL telemetry artifacts =="
 mkdir -p _artifacts
 dune exec bin/kfi_campaign.exe -- -c A --subsample 60 -q -j 2 \

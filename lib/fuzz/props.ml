@@ -581,6 +581,71 @@ let oracle_equivalent_sound =
                    (Outcome.category o)))
       | _ -> Ok ())
 
+(* ---------- runner.skip_exact ---------- *)
+
+(* Its own booted runner, on the cached backend the campaigns use; the
+   targets span every instruction byte (A + B) and register (R). *)
+let skip_env =
+  lazy
+    (let open Kfi_injector in
+     let runner = Runner.create () in
+     Runner.set_backend runner Kfi_isa.Backend.Cached;
+     let build = Runner.build runner in
+     let fns = List.map (fun f -> f.Kfi_asm.Assembler.f_name) build.Kfi_kernel.Build.funcs in
+     let targets =
+       Array.of_list
+         (List.concat_map
+            (fun campaign -> Target.enumerate build ~campaign ~seed:7 fns)
+            [ Target.A; Target.B; Target.R ])
+     in
+     (runner, targets))
+
+let runner_skip_exact =
+  Fuzz.make ~name:"runner.skip_exact"
+    ~doc:
+      "golden fetch coverage decides activation exactly, and inject agrees with \
+       run_one on outcome and cycles"
+    (Fuzz.arb
+       ~shrink:Shrink.nil
+       ~print:(fun (i, bit, w) -> spf "target#%d bit %d workload %d" i bit w)
+       (Gen.triple (Gen.int_bound 1_000_000) (Gen.int_range 0 31)
+          (Gen.int_bound (List.length Kfi_workload.Progs.names - 1))))
+    (fun (i, bit, w) ->
+      let open Kfi_injector in
+      let runner, targets = Lazy.force skip_env in
+      let t = targets.(i mod Array.length targets) in
+      let t =
+        { t with
+          Target.t_bit = (if t.Target.t_kind = Target.Text then bit land 7 else bit) }
+      in
+      let what =
+        spf "%s %s b%d bit%d w%d" t.Target.t_fn (Int32.to_string t.Target.t_addr)
+          t.Target.t_byte t.Target.t_bit w
+      in
+      let fetched =
+        Kfi_isa.Cpu.cover_mem (Runner.golden runner w).Runner.g_fetched t.Target.t_addr
+      in
+      let reference = Runner.run_one runner ~workload:w t in
+      let ref_cycles = Runner.last_cycles runner in
+      let skipped = Runner.skippable runner ~workload:w t in
+      let got = Runner.inject runner ~workload:w t in
+      let got_cycles = Runner.last_cycles runner in
+      if fetched <> (reference <> Outcome.Not_activated) then
+        Error
+          (spf "%s: golden coverage says %s but run_one gave %s" what
+             (if fetched then "fetched" else "never fetched")
+             (Outcome.category reference))
+      else if fetched = skipped then
+        Error (spf "%s: skippable is %b for a %s target" what skipped
+                 (if fetched then "fetched" else "never fetched"))
+      else if got <> reference then
+        Error
+          (spf "%s: inject gave %s, run_one %s" what (Outcome.category got)
+             (Outcome.category reference))
+      else if got_cycles <> ref_cycles then
+        Error (spf "%s: inject ran %d cycles, run_one %d" what got_cycles ref_cycles)
+      else Ok ())
+
 (* ---------- slice.sound ---------- *)
 
 let slice_sound =
@@ -1224,6 +1289,7 @@ let all =
     mmu_translate_ref;
     oracle_equivalent_sound;
     slice_sound;
+    runner_skip_exact;
     fs_fsck_total;
     journal_torn_resume;
     shard_merge_deterministic;

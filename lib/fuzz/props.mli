@@ -30,6 +30,12 @@ val backend_equiv : Kfi_fuzz.Fuzz.t
 val mmu_translate_ref : Kfi_fuzz.Fuzz.t
 val oracle_equivalent_sound : Kfi_fuzz.Fuzz.t
 val slice_sound : Kfi_fuzz.Fuzz.t
+val runner_skip_exact : Kfi_fuzz.Fuzz.t
+(** The audit of {!Kfi_injector.Runner.inject}'s skip: on a random
+    enumerated target, bit and workload, the golden run's fetch
+    coverage marks the address iff [run_one] activates the fault, and
+    [inject] returns [run_one]'s outcome with the same cycle count. *)
+
 val fs_fsck_total : Kfi_fuzz.Fuzz.t
 val journal_torn_resume : Kfi_fuzz.Fuzz.t
 

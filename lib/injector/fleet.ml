@@ -185,7 +185,7 @@ let run_attempt ~policy ~attempt (r : Runner.t) it =
      (* wedged before the machine even started *)
      raise (Runner.Deadline_exceeded d)
    | _ -> ());
-  let o = Runner.run_one ?deadline r ~workload:it.it_workload it.it_target in
+  let o = Runner.inject ?deadline r ~workload:it.it_workload it.it_target in
   {
     res_outcome = o;
     res_timing = timing_of_runner r;

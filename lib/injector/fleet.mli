@@ -92,8 +92,9 @@ val backoff_delay_ms : policy:policy -> attempt:int -> salt:int -> float
     supervisor between worker restarts (salted by the worker slot). *)
 
 val run_item_safe : ?policy:policy -> Runner.t -> item -> result
-(** Execute one item on the given runner (or resolve it statically /
-    from the journal), capturing the runner's timing, under a
+(** Execute one item on the given runner through {!Runner.inject} (or
+    resolve it statically / from the journal), capturing the runner's
+    timing, under a
     {!policy}: each attempt gets a fresh wall-clock deadline; a deadline
     miss or runner exception is retried with exponential backoff (the
     second and later retries boot a fresh runner); a target still

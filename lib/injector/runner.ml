@@ -4,13 +4,23 @@
    One [t] boots the kernel once to its post-boot snapshot; each injection
    restores the snapshot ("reboots"), pokes the chosen workload id, arms a
    debug register on the target instruction, flips the chosen bit when the
-   instruction is first reached, and classifies the outcome. *)
+   instruction is first reached, and classifies the outcome.  The golden
+   runs also record which kernel-text addresses a debug register could
+   ever match, so [inject] answers a target the workload never reaches
+   without simulating it. *)
 
 open Kfi_isa
 module L = Kfi_kernel.Layout
 module Build = Kfi_kernel.Build
 
-type golden = { g_exit : int; g_console : string }
+type golden = {
+  g_exit : int;
+  g_console : string;
+  g_cycles : int; (* cycles from the workload's baseline to power-off *)
+  g_fetched : Cpu.cover;
+      (* every kernel-text address the run reached at the debug-compare
+         point: the addresses a DR0 trap could ever have fired on *)
+}
 
 type t = {
   build : Build.t;
@@ -90,12 +100,26 @@ let create ?(max_cycles = default_max_cycles) () =
         run_to_user machine ~max_cycles;
         Machine.snapshot machine)
   in
+  let cpu = Machine.cpu machine in
   let golden =
     Array.init nworkloads (fun w ->
         Machine.restore machine baselines.(w);
-        match Machine.run machine ~max_cycles with
+        let start = cpu.Cpu.cycles in
+        let fetched = Cpu.cover_create ~base:L.kernel_text_base ~len:build.Build.text_size in
+        cpu.Cpu.fetch_cover <- Some fetched;
+        let result =
+          Fun.protect
+            ~finally:(fun () -> cpu.Cpu.fetch_cover <- None)
+            (fun () -> Machine.run machine ~max_cycles)
+        in
+        match result with
         | Machine.Powered_off code ->
-          { g_exit = code; g_console = Machine.tty_contents machine }
+          {
+            g_exit = code;
+            g_console = Machine.tty_contents machine;
+            g_cycles = cpu.Cpu.cycles - start;
+            g_fetched = fetched;
+          }
         | _ -> failwith (Printf.sprintf "golden run for workload %d did not complete" w))
   in
   Array.iteri
@@ -231,6 +255,23 @@ let run_with_deadline t ~deadline =
     | r -> r
   in
   go ()
+
+(* Phase spans + outcome counters of the last injection, from the
+   [last_*] fields; pure observation — nothing here feeds back into the
+   outcome or any determinism-gated artifact. *)
+let observe ?(skipped = false) t outcome =
+  match t.metrics with
+  | None -> ()
+  | Some m ->
+    let module M = Kfi_obs.Metrics in
+    M.observe m "phase.restore" t.last_restore;
+    M.observe m "phase.execute" (Float.max 0. (t.last_wall -. t.last_restore));
+    M.observe m "phase.classify" t.last_classify;
+    M.observe m "inj.wall" (t.last_wall +. t.last_classify);
+    M.incr m "inj.count";
+    if skipped then M.incr m "inj.skipped";
+    if t.last_injected_at <> None then M.incr m "inj.activated";
+    M.incr m ("outcome." ^ Outcome.category outcome)
 
 (* Run one injection experiment.  [deadline], if given, is an absolute
    wall-clock time past which the run is abandoned with
@@ -370,18 +411,31 @@ let run_one ?deadline t ~workload (target : Target.t) =
     | Machine.Snapshot_point -> failwith "unexpected snapshot point during experiment")
   in
   t.last_classify <- Unix.gettimeofday () -. classify0;
-  (* phase spans + outcome counters; pure observation — nothing here
-     feeds back into the outcome or any determinism-gated artifact *)
-  (match t.metrics with
-   | None -> ()
-   | Some m ->
-     let module M = Kfi_obs.Metrics in
-     M.observe m "phase.restore" t.last_restore;
-     M.observe m "phase.execute"
-       (Float.max 0. (t.last_wall -. t.last_restore));
-     M.observe m "phase.classify" t.last_classify;
-     M.observe m "inj.wall" (t.last_wall +. t.last_classify);
-     M.incr m "inj.count";
-     if !injected_at <> None then M.incr m "inj.activated";
-     M.incr m ("outcome." ^ Outcome.category outcome));
+  observe t outcome;
   outcome
+
+(* The golden run of [workload] provably decides [target]: DR0 never
+   fires, so the injection run is the golden run cycle for cycle.  Only
+   the hardening-off golden run was recorded, and a budget below its
+   length would end the run on the watchdog instead. *)
+let skippable t ~workload (target : Target.t) =
+  let g = t.golden.(workload) in
+  (not t.hardening)
+  && g.g_cycles <= t.max_cycles
+  && Cpu.cover_spans g.g_fetched target.Target.t_addr
+  && not (Cpu.cover_mem g.g_fetched target.Target.t_addr)
+
+let inject ?deadline t ~workload (target : Target.t) =
+  let wall0 = Unix.gettimeofday () in
+  if not (skippable t ~workload target) then run_one ?deadline t ~workload target
+  else begin
+    (* exactly what [run_one] would leave behind, without the run; the
+       decision time is booked as classification *)
+    t.last_wall <- 0.;
+    t.last_restore <- 0.;
+    t.last_cycles <- t.golden.(workload).g_cycles;
+    t.last_injected_at <- None;
+    t.last_classify <- Unix.gettimeofday () -. wall0;
+    observe ~skipped:true t Outcome.Not_activated;
+    Outcome.Not_activated
+  end

@@ -12,8 +12,18 @@
 
 open Kfi_isa
 
-type golden = { g_exit : int; g_console : string }
-(** Exit code and tty output of a fault-free run. *)
+type golden = {
+  g_exit : int;
+  g_console : string;
+  g_cycles : int;
+      (** simulated cycles from the workload's baseline to power-off *)
+  g_fetched : Cpu.cover;
+      (** fetch coverage over kernel text: every address the run reached
+          at the debug-compare point of {!Kfi_isa.Cpu.step}, i.e. every
+          address a DR0 trap could have fired on *)
+}
+(** Exit code, tty output, length and fetch coverage of a fault-free
+    (hardening-off) run. *)
 
 type t
 
@@ -39,11 +49,13 @@ val set_max_cycles : t -> int -> unit
     tests to force the {!Outcome.Hang} path deterministically). *)
 
 val set_metrics : t -> Kfi_obs.Metrics.t option -> unit
-(** Attach (or detach) a metrics registry: each subsequent [run_one]
-    observes its phase spans ([phase.restore] / [phase.execute] /
-    [phase.classify], plus the [inj.wall] total) and bumps the
-    [inj.*] / [outcome.*] counters.  Observation only — outcomes and
-    every determinism-gated artifact are unaffected. *)
+(** Attach (or detach) a metrics registry: each subsequent [run_one] or
+    [inject] observes its phase spans ([phase.restore] /
+    [phase.execute] / [phase.classify], plus the [inj.wall] total) and
+    bumps the [inj.*] / [outcome.*] counters ([inj.skipped] counts the
+    injections {!inject} decided from golden coverage).  Observation
+    only — outcomes and every determinism-gated artifact are
+    unaffected. *)
 
 val set_backend : t -> Backend.kind -> unit
 (** Swap the execution backend for subsequent runs.  A no-op when the
@@ -73,7 +85,8 @@ val trace_level : t -> Trace.level
 val max_cycles : t -> int
 
 val last_wall : t -> float
-(** Seconds spent restoring + executing in the last [run_one]. *)
+(** Seconds spent restoring + executing in the last injection (0 when
+    {!inject} skipped it). *)
 
 val last_restore : t -> float
 (** Of which restoring the snapshot. *)
@@ -109,4 +122,20 @@ val run_one : ?deadline:float -> t -> workload:int -> Target.t -> Outcome.t
     watchdog: the run is executed in short cycle slices and abandoned
     with {!Deadline_exceeded} once the host clock passes it.  The
     runner remains usable — injection hooks are cleared on every exit
-    path and the next experiment restores a snapshot anyway. *)
+    path and the next experiment restores a snapshot anyway.
+
+    Always simulates: this is the reference that {!inject}'s skip is
+    audited against. *)
+
+val skippable : t -> workload:int -> Target.t -> bool
+(** The golden run decides this target's outcome: the address lies in
+    kernel text, the workload's golden run never reached it (so DR0
+    never fires and the injection run {e is} the golden run), hardening
+    is off and the golden run fits the cycle budget. *)
+
+val inject : ?deadline:float -> t -> workload:int -> Target.t -> Outcome.t
+(** [run_one], except that a {!skippable} target returns
+    {!Outcome.Not_activated} at once, leaving the [last_*] views as the
+    simulated run would (cycles = the golden run's [g_cycles], no
+    injection cycle) and recording the same metrics, plus
+    [inj.skipped].  The outcome and cycles are exactly [run_one]'s. *)

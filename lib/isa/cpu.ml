@@ -58,7 +58,13 @@ type t = {
   scratch : int32 array;          (* register snapshot for faulting restarts *)
   mutable last_fault_cycle : int; (* cycle count at the most recent exception *)
   trace : Trace.t;                (* flight recorder, fed from [step] *)
+  mutable fetch_cover : cover option;
+      (* when set, [step] marks every eip it reaches at the debug-compare
+         point; the runner turns it on for golden runs only *)
 }
+
+(* One bit per byte address in [cov_base, cov_base + cov_len). *)
+and cover = { cov_base : int; cov_len : int; cov_bits : Bytes.t }
 
 let create ~phys ~disk ~idt_base =
   let frames = Phys.size phys / Mmu.page_size in
@@ -93,6 +99,7 @@ let create ~phys ~disk ~idt_base =
     scratch = Array.make 8 0l;
     last_fault_cycle = 0;
     trace = Trace.create ();
+    fetch_cover = None;
   }
 
 let u32 v = Int32.to_int v land 0xFFFFFFFF
@@ -601,6 +608,26 @@ let trace_insn cpu insn =
   Trace.record cpu.trace ~cycle:cpu.cycles ~eip:cpu.eip ~op
     ~user:(cpu.mode = User) ~mem:(insn_mem cpu insn)
 
+let cover_create ~base ~len =
+  { cov_base = base; cov_len = len; cov_bits = Bytes.make ((len + 7) / 8) '\000' }
+
+(* bit index of [addr] in the map, -1 outside it *)
+let cover_index c addr =
+  let off = u32 addr - c.cov_base in
+  if off >= 0 && off < c.cov_len then off else -1
+
+let cover_spans c addr = cover_index c addr >= 0
+
+let cover_mem c addr =
+  let i = cover_index c addr in
+  i >= 0 && Char.code (Bytes.unsafe_get c.cov_bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let cover_mark c addr =
+  let i = cover_index c addr in
+  if i >= 0 then
+    Bytes.unsafe_set c.cov_bits (i lsr 3)
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get c.cov_bits (i lsr 3)) lor (1 lsl (i land 7))))
+
 let debug_match cpu =
   if cpu.dr7 = 0 then -1
   else begin
@@ -624,6 +651,8 @@ let step cpu =
          cpu.cr2 <- addr;
          raise (Triple_fault { vector = Trap.Page_fault; error = code }))
     end;
+    (* exactly the eip [debug_match] below compares against *)
+    (match cpu.fetch_cover with Some c -> cover_mark c cpu.eip | None -> ());
     (match cpu.on_debug_hit with
      | Some hook ->
        let m = debug_match cpu in

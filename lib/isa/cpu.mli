@@ -61,9 +61,28 @@ type t = {
   trace : Trace.t;
       (** the flight recorder, fed from {!step}; level {!Trace.Off}
           (the default) costs one compare per instruction *)
+  mutable fetch_cover : cover option;
+      (** fetch coverage: when set, {!step} marks [eip] after timer
+          delivery and before fetch — the exact point where
+          {!debug_match} compares it — so the map holds every address an
+          armed debug register could have matched.  Only {!step} marks:
+          record coverage on the reference interpreter.  [None] (the
+          default) costs one compare per instruction. *)
 }
 
+and cover
+(** A bitmap over a range of addresses. *)
+
 val create : phys:Phys.t -> disk:Devices.Disk.t -> idt_base:int -> t
+
+val cover_create : base:int -> len:int -> cover
+(** An empty coverage map over [len] bytes of address space from [base]. *)
+
+val cover_spans : cover -> int32 -> bool
+(** The address lies inside the map's range. *)
+
+val cover_mem : cover -> int32 -> bool
+(** The address was marked ([false] outside the range). *)
 
 val flush_icache : t -> unit
 (** Invalidate the decoded-instruction cache (after external writes).

@@ -43,7 +43,8 @@ let frame_json ~seq ~elapsed_s ~final snap =
 
 (* Shares of the injection wall clock, the number ROADMAP's perf work
    reads: restore + execute + classify are the sub-phases timed inside
-   [Runner.run_one], so they sum to ~100% of the "inj.wall" histogram;
+   [Runner.run_one] (a skipped [Runner.inject] books its decision as
+   classify), so they sum to ~100% of the "inj.wall" histogram;
    "other" is the (small) remainder lost to timer placement. *)
 let phase_shares snap =
   match Metrics.hist snap "inj.wall" with

@@ -283,14 +283,15 @@ type t = {
          its counter updates under [locked] *)
   mutable seq : int;
   mutable n_targets : int;       (* targets considered (run + pruned) *)
-  mutable n_run : int;           (* really executed on the machine *)
+  mutable n_run : int;           (* run through the runner, skips included *)
   mutable n_pruned : int;        (* resolved statically by the oracle *)
   mutable n_activated : int;
   mutable n_crash_hang : int;
   mutable n_aborted : int;       (* quarantined as Harness_abort *)
-  mutable wall_run : float;      (* seconds spent inside run_one *)
+  mutable wall_run : float;      (* seconds spent inside the runner *)
   mutable wall_restore : float;  (* seconds of that spent restoring snapshots *)
-  mutable sim_cycles : int;      (* simulated cycles executed across runs *)
+  mutable sim_cycles : int;      (* simulated cycles across runs; a skipped
+                                    target is credited its golden run's *)
   mutable wall_total : float;    (* campaign wall-clock (between start/end events) *)
 }
 

@@ -279,3 +279,93 @@ let test_hang_watchdog () =
 
 let suite =
   suite @ [ Alcotest.test_case "watchdog classifies a stranded run as hang" `Slow test_hang_watchdog ]
+
+(* --- the golden-coverage skip of [Runner.inject] and its fallbacks --- *)
+
+(* enumerated targets the golden run of [w] never reached *)
+let unfetched r w fns =
+  let g = Runner.golden r w in
+  Target.enumerate (Runner.build r) ~campaign:Target.A ~seed:1 fns
+  |> List.filter (fun t -> not (Kfi_isa.Cpu.cover_mem g.Runner.g_fetched t.Target.t_addr))
+
+(* about [k] targets spread over the list *)
+let spread k l =
+  let step = max 1 (List.length l / k) in
+  List.filteri (fun i _ -> i mod step = 0) l
+
+(* [inject] on each target next to [run_one]: the outcomes and cycle
+   counts must agree; returns how many injections [inject] skipped *)
+let inject_vs_run_one r ~workload targets =
+  let m = Kfi_obs.Metrics.create ~name:"skip" () in
+  List.iter
+    (fun t ->
+      let reference = Runner.run_one r ~workload t in
+      let cycles = Runner.last_cycles r in
+      Runner.set_metrics r (Some m);
+      let got =
+        Fun.protect
+          ~finally:(fun () -> Runner.set_metrics r None)
+          (fun () -> Runner.inject r ~workload t)
+      in
+      check Alcotest.string (t.Target.t_fn ^ " outcome") (Outcome.category reference)
+        (Outcome.category got);
+      check Alcotest.bool "same outcome" true (got = reference);
+      check int (t.Target.t_fn ^ " cycles") cycles (Runner.last_cycles r))
+    targets;
+  Kfi_obs.Metrics.counter (Kfi_obs.Metrics.snapshot m) "inj.skipped"
+
+let test_skip_hardening_fallback () =
+  let r = Lazy.force runner in
+  let w = Kfi_workload.Progs.index_of "syscall" in
+  let targets = spread 10 (unfetched r w [ "sys_pipe"; "pipe_read"; "ext2_bmap" ]) in
+  check Alcotest.bool "has unfetched targets" true (List.length targets > 3);
+  check int "hardening off: every unfetched target skipped" (List.length targets)
+    (inject_vs_run_one r ~workload:w targets);
+  Runner.set_hardening r true;
+  let skipped =
+    Fun.protect
+      ~finally:(fun () -> Runner.set_hardening r false)
+      (fun () -> inject_vs_run_one r ~workload:w targets)
+  in
+  check int "hardening on: nothing skipped" 0 skipped
+
+let test_skip_budget_fallback () =
+  let r = Lazy.force runner in
+  let w = Kfi_workload.Progs.index_of "syscall" in
+  let g = Runner.golden r w in
+  let targets = spread 5 (unfetched r w [ "sys_pipe" ]) in
+  check Alcotest.bool "has unfetched targets" true (targets <> []);
+  let saved = Runner.max_cycles r in
+  Runner.set_max_cycles r (g.Runner.g_cycles - 1);
+  let skipped =
+    Fun.protect
+      ~finally:(fun () -> Runner.set_max_cycles r saved)
+      (fun () -> inject_vs_run_one r ~workload:w targets)
+  in
+  check int "budget below the golden run: nothing skipped" 0 skipped;
+  (* the watchdog, not power-off, ended the run *)
+  check int "cut at the budget" (g.Runner.g_cycles - 1) (Runner.last_cycles r)
+
+(* every not-activated run of a workload lasts exactly its golden run *)
+let test_golden_cycles_exact () =
+  let r = Lazy.force runner in
+  let fns = List.map (fun f -> f.Asm.f_name) (Runner.build r).Kfi_kernel.Build.funcs in
+  List.iteri
+    (fun w name ->
+      match unfetched r w fns with
+      | [] -> Alcotest.failf "%s fetches every target" name
+      | t :: _ ->
+        (match Runner.run_one r ~workload:w t with
+         | Outcome.Not_activated -> ()
+         | o -> Alcotest.failf "%s: unfetched target gave %s" name (Outcome.category o));
+        check int (name ^ " g_cycles") (Runner.last_cycles r) (Runner.golden r w).Runner.g_cycles)
+    Kfi_workload.Progs.names
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "skip: hardening on never skips" `Slow test_skip_hardening_fallback;
+      Alcotest.test_case "skip: budget below golden never skips" `Slow test_skip_budget_fallback;
+      Alcotest.test_case "skip: g_cycles is the not-activated run length" `Slow
+        test_golden_cycles_exact;
+    ]
