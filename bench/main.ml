@@ -268,63 +268,26 @@ let () =
         "\n(hardened: fs/mm entry points validate their data structures and kill the\n offending process instead of corrupting kernel state — the containment\n strategy the paper proposes from its propagation analysis)\n"
     end;
     if want "oracle" then begin
-      header "Extension — static mutation oracle: campaign pruning and validation";
+      header "Extension — static mutation oracle: validation against real runs";
       let oracle = Kfi.Study.make_oracle study in
       let timed f =
         let t0 = Sys.time () in
         let r = f () in
         (r, Sys.time () -. t0)
       in
-      Printf.eprintf "bench: campaign A without oracle...\n%!";
-      let plain, t_plain =
+      Printf.eprintf "bench: campaign A...\n%!";
+      let records, t_campaign =
         timed (fun () ->
             Kfi.Study.run_campaign ~config:(Kfi.Config.make ~subsample ()) study
               Kfi.Campaign.A)
       in
-      Printf.eprintf "bench: campaign A with oracle pruning...\n%!";
-      let pruned, t_pruned =
-        timed (fun () ->
-            Kfi.Study.run_campaign
-              ~config:(Kfi.Config.make ~subsample ~oracle ())
-              study Kfi.Campaign.A)
-      in
-      let n_pruned = List.length (List.filter (fun r -> r.Kfi.Injector.Experiment.r_predicted) pruned) in
-      Printf.printf "%-28s %6d experiments in %6.2f s\n" "without oracle"
-        (List.length plain) t_plain;
-      Printf.printf "%-28s %6d experiments in %6.2f s  (%d pruned statically, %.1f%% faster)\n"
-        "with oracle" (List.length pruned) t_pruned n_pruned
-        (100. *. (t_plain -. t_pruned) /. t_plain);
-      (* pruning must not disturb the failure statistics *)
-      let pie tag records =
-        let p = Kfi.Analysis.Stats.outcome_pie records in
-        Printf.printf
-          "%-28s not manifested %4d | fsv %3d | crash %4d | hang/unknown %3d\n" tag
-          p.Kfi.Analysis.Stats.p_not_manifested p.Kfi.Analysis.Stats.p_fsv
-          p.Kfi.Analysis.Stats.p_dumped_crash p.Kfi.Analysis.Stats.p_hang_unknown
-      in
-      pie "without oracle" plain;
-      pie "with oracle" pruned;
-      (* pruning must only replace rows, never change the others: the
-         CSVs agree byte-for-byte once oracle-predicted rows are dropped
-         from both sides *)
-      let drop_predicted a b =
-        List.combine a b
-        |> List.filter (fun (_, (p : Kfi.Injector.Experiment.record)) ->
-               not p.Kfi.Injector.Experiment.r_predicted)
-        |> List.split
-      in
-      let plain', pruned' = drop_predicted plain pruned in
-      let csv_same =
-        String.equal (Kfi.Study.to_csv plain') (Kfi.Study.to_csv pruned')
-      in
-      Printf.printf "CSV modulo oracle-predicted rows: %s\n"
-        (if csv_same then "byte-identical" else "DIFFERS (BUG)");
-      print_newline ();
-      (* predicted-vs-observed confusion matrix over the unpruned run *)
-      print_string (Kfi.Analysis.Report.oracle_matrix oracle plain);
-      print_string (Kfi.Analysis.Report.slice_matrix oracle plain);
-      (* static-analysis throughput and the interprocedural prune-rate
-         gain over the per-function baseline *)
+      Printf.printf "%-28s %6d experiments in %6.2f s\n\n" "campaign A"
+        (List.length records) t_campaign;
+      (* predicted-vs-observed confusion and slice matrices *)
+      print_string (Kfi.Analysis.Report.oracle_matrix oracle records);
+      print_string (Kfi.Analysis.Report.slice_matrix oracle records);
+      (* static-analysis throughput and the interprocedural gain in
+         provable equivalences over the per-function baseline *)
       let module Target = Kfi.Injector.Target in
       let module Oracle = Kfi.Staticoracle.Oracle in
       let fns =
@@ -359,8 +322,8 @@ let () =
       in
       let rate n t = if t > 0. then float_of_int n /. t else 0. in
       Printf.printf
-        "\nprune rate: %d/%d targets (%.1f%%) interprocedural vs %d (%.1f%%) \
-         intraprocedural\n"
+        "\nprovably Equivalent: %d/%d targets (%.1f%%) interprocedural vs %d \
+         (%.1f%%) intraprocedural\n"
         n_ip n_targets
         (Kfi.Analysis.Stats.pct n_ip n_targets)
         n_intra
@@ -376,18 +339,15 @@ let () =
               ("campaign", Str "A");
               ("subsample", Int subsample);
               ("targets_enumerated", Int n_targets);
-              ("pruned_interprocedural", Int n_ip);
-              ("pruned_intraprocedural", Int n_intra);
-              ("prune_rate", Float (Kfi.Analysis.Stats.pct n_ip n_targets));
-              ( "prune_rate_intraprocedural",
+              ("equivalent_interprocedural", Int n_ip);
+              ("equivalent_intraprocedural", Int n_intra);
+              ("equivalent_rate", Float (Kfi.Analysis.Stats.pct n_ip n_targets));
+              ( "equivalent_rate_intraprocedural",
                 Float (Kfi.Analysis.Stats.pct n_intra n_targets) );
               ("classify_targets_per_s", Float (rate n_targets t_classify));
               ("slice_targets_per_s", Float (rate n_targets t_slice));
-              ("campaign_s_without_oracle", Float t_plain);
-              ("campaign_s_with_oracle", Float t_pruned);
-              ("experiments_without_oracle", Int (List.length plain));
-              ("experiments_pruned_in_run", Int n_pruned);
-              ("csv_identical_modulo_predicted", Bool csv_same);
+              ("campaign_s", Float t_campaign);
+              ("experiments", Int (List.length records));
             ])
       in
       let oc = open_out "BENCH_oracle.json" in

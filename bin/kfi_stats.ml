@@ -63,9 +63,8 @@ let render ~header (s : Metrics.snap) =
           else "")
          (fmt_count (c "inj.skipped")));
     Buffer.add_string buf
-      (Printf.sprintf "  campaign     %s targets, %s pruned, %s replayed\n"
+      (Printf.sprintf "  campaign     %s targets, %s replayed\n"
          (fmt_count (c "campaign.targets"))
-         (fmt_count (c "campaign.pruned"))
          (fmt_count (c "campaign.replayed")))
   end;
   (* outcome mix *)
@@ -143,11 +142,6 @@ let render ~header (s : Metrics.snap) =
   if c "journal.appends" > 0 then
     Buffer.add_string buf
       (Printf.sprintf "  journal      %s appends\n" (fmt_count (c "journal.appends")));
-  if c "oracle.considered" > 0 then
-    Buffer.add_string buf
-      (Printf.sprintf "  oracle       %s considered, %s pruned\n"
-         (fmt_count (c "oracle.considered"))
-         (fmt_count (c "oracle.pruned")));
   (* phase shares of the injection wall clock *)
   (match Writer.phase_shares s with
    | Some shares ->

@@ -143,25 +143,31 @@ let strip_file path =
    marshals with [No_sharing]: an entry that round-trips through a shard
    journal and the supervisor's merge re-marshal can encode equal values
    with a different intra-value sharing graph, and the dump must hash
-   the value, not the encoding. *)
+   the value, not the encoding.  It hashes the entry as the v1 layout
+   marshalled it (a predicted flag, always false, between outcome and
+   retries), so the dump of a run is the one older trees printed for it
+   and dumps stay comparable across the layout change. *)
 let dump_journal_file path =
   match Kfi.Injector.Journal.read_file path with
-  | exception Sys_error msg ->
+  | exception (Sys_error msg | Invalid_argument msg) ->
     Printf.eprintf "kfi-trace: %s\n" msg;
     1
   | es ->
     let open Kfi.Injector.Journal in
     List.sort (fun a b -> compare (key_of_entry a) (key_of_entry b)) es
     |> List.iter (fun e ->
-           Printf.printf "%s %s 0x%08lx byte %d bit %d wl %d %s%s retries %d \
+           let v1 =
+             ( e.e_campaign, e.e_fn, e.e_addr, e.e_byte, e.e_bit, e.e_workload,
+               e.e_outcome, false, e.e_retries, e.e_cycles )
+           in
+           Printf.printf "%s %s 0x%08lx byte %d bit %d wl %d %s retries %d \
                           cycles %d %s\n"
              (Target.campaign_letter e.e_campaign)
              e.e_fn e.e_addr e.e_byte e.e_bit e.e_workload
              (Outcome.category e.e_outcome)
-             (if e.e_predicted then " (predicted)" else "")
              e.e_retries e.e_cycles
              (Digest.to_hex
-                (Digest.string (Marshal.to_string e [ Marshal.No_sharing ]))));
+                (Digest.string (Marshal.to_string v1 [ Marshal.No_sharing ]))));
     0
 
 let run lint strip dump_journal fn byte bit addr workload level trace_n backend

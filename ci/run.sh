@@ -1,6 +1,7 @@
 #!/bin/sh
 # The CI entry point: everything a change must pass before merging.
-#   ./ci/run.sh          # full build + lint + tests + oracle self-check
+#   ./ci/run.sh          # full build + lint + tests + gates + perfbench smoke
+#                        # + oracle self-check
 #   ./ci/run.sh quick    # skip the slow (booting) alcotest cases
 set -eu
 cd "$(dirname "$0")/.."
@@ -294,6 +295,18 @@ cmp _artifacts/obs1.journal.dump _artifacts/shard_chaos.journal.dump || {
   exit 1
 }
 echo "  $kills workers SIGKILLed, $deaths deaths supervised, merge byte-identical"
+
+echo "== perfbench smoke =="
+# perfbench/trial.ml compiles against the record and config types of the
+# library; --smoke runs every benchmark workload (serial, fleet, sharded)
+# at a tiny subsample and exits non-zero on a build failure, a missing or
+# duplicate metric, or a CSV that differs across workloads.
+python3 perfbench/run.py --smoke > _artifacts/perfbench_smoke.txt 2>&1 || {
+  cat _artifacts/perfbench_smoke.txt
+  echo "perfbench smoke failed" >&2
+  exit 1
+}
+tail -n 5 _artifacts/perfbench_smoke.txt
 
 echo "== static oracle self-check =="
 # Classification must be total and campaign C must be 100% reversed

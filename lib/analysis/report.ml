@@ -377,7 +377,6 @@ let oracle_matrix oracle records =
               Stats.count
                 (fun ((r : Experiment.record), cls) ->
                   Oracle.class_name cls = cname
-                  && (not r.Experiment.r_predicted)
                   && not
                        (Oracle.agrees ~target:r.Experiment.r_target
                           (Oracle.predict cls) r.Experiment.r_outcome))
@@ -388,11 +387,9 @@ let oracle_matrix oracle records =
             Buffer.add_string b (Printf.sprintf " %9d\n" dis)
           end)
         Oracle.all_class_names;
-      let pruned = Stats.count (fun r -> r.Experiment.r_predicted) records in
       let claims =
         List.filter
-          (fun ((r : Experiment.record), cls) ->
-            (not r.Experiment.r_predicted) && Oracle.predict cls <> Oracle.P_divergent)
+          (fun (_, cls) -> Oracle.predict cls <> Oracle.P_divergent)
           classified
       in
       let ok =
@@ -410,9 +407,6 @@ let oracle_matrix oracle records =
                  r.Experiment.r_outcome)
           then disagreements := (r, cls) :: !disagreements)
         claims;
-      Buffer.add_string b
-        (Printf.sprintf "pruned (oracle-predicted, never run): %d of %d targets\n" pruned
-           (List.length records));
       Buffer.add_string b
         (if claims = [] then
            "agreement on checkable claims: none made (all predictions divergent)\n"
@@ -467,26 +461,24 @@ let slice_matrix oracle records =
       let audited = ref 0 and violating = ref 0 in
       List.iter
         (fun (r : Experiment.record) ->
-          if not r.Experiment.r_predicted then begin
-            let sl = Oracle.slice oracle r.Experiment.r_target in
-            incr n_slices;
-            if sl.Slice.sl_whole then incr n_whole;
-            if sl.Slice.sl_masked then incr n_masked;
-            reach_sum := !reach_sum + List.length sl.Slice.sl_reach;
-            data_sum := !data_sum + List.length sl.Slice.sl_data_fns;
-            let k = Slice.kind_name sl.Slice.sl_kind in
-            Hashtbl.replace shapes k
-              (1 + Option.value ~default:0 (Hashtbl.find_opt shapes k));
-            match r.Experiment.r_outcome with
-            | Outcome.Crash ci when ci.Outcome.propagation <> [] ->
-              incr audited;
-              let d, ro, o = Slice.hop_confusion sl ci.Outcome.propagation in
-              if o > 0 then incr violating;
-              bump
-                (Oracle.class_name (Oracle.classify oracle r.Experiment.r_target))
-                d ro o (o > 0)
-            | _ -> ()
-          end)
+          let sl = Oracle.slice oracle r.Experiment.r_target in
+          incr n_slices;
+          if sl.Slice.sl_whole then incr n_whole;
+          if sl.Slice.sl_masked then incr n_masked;
+          reach_sum := !reach_sum + List.length sl.Slice.sl_reach;
+          data_sum := !data_sum + List.length sl.Slice.sl_data_fns;
+          let k = Slice.kind_name sl.Slice.sl_kind in
+          Hashtbl.replace shapes k
+            (1 + Option.value ~default:0 (Hashtbl.find_opt shapes k));
+          match r.Experiment.r_outcome with
+          | Outcome.Crash ci when ci.Outcome.propagation <> [] ->
+            incr audited;
+            let d, ro, o = Slice.hop_confusion sl ci.Outcome.propagation in
+            if o > 0 then incr violating;
+            bump
+              (Oracle.class_name (Oracle.classify oracle r.Experiment.r_target))
+              d ro o (o > 0)
+          | _ -> ())
         records;
       Buffer.add_string b
         (Printf.sprintf "%-22s %7s %9s %11s %9s %10s\n" "predicted class" "paths"

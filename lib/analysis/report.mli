@@ -47,7 +47,7 @@ val table5 : Experiment.record list -> string
 val oracle_matrix :
   Kfi_staticoracle.Oracle.t -> Experiment.record list -> string
 (** The static-oracle validation section: a predicted-class vs
-    observed-outcome confusion matrix, the pruning count, agreement on
+    observed-outcome confusion matrix, agreement on
     checkable claims (equivalence / invalid-opcode / dead-write
     predictions) and a listing of disagreements. *)
 

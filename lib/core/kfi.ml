@@ -27,23 +27,7 @@ end
    into Kfi_isa directly for it. *)
 module Backend = Kfi_isa.Backend
 
-module Config = struct
-  include Kfi_injector.Config
-
-  (* Shadow [make] to take the oracle value itself: the pruning hook is
-     resolved here, once, instead of at every run entry point.  When both
-     an oracle and a metrics registry are given, the oracle's
-     classify/slice spans land in the same registry. *)
-  let make ?subsample ?seed ?hardening ?oracle ?telemetry ?on_progress ?jobs
-      ?journal ?policy ?metrics ?backend ?shards ?supervisor () =
-    (match (oracle, metrics) with
-     | Some o, Some _ -> Kfi_staticoracle.Oracle.set_metrics o metrics
-     | _ -> ());
-    Kfi_injector.Config.make ?subsample ?seed ?hardening
-      ?oracle:(Option.map Kfi_staticoracle.Oracle.pruner oracle)
-      ?telemetry ?on_progress ?jobs ?journal ?policy ?metrics ?backend
-      ?shards ?supervisor ()
-end
+module Config = Kfi_injector.Config
 
 module Study = struct
   type t = {
@@ -69,9 +53,8 @@ module Study = struct
 
   let build t = Kfi_injector.Runner.build t.runner
 
-  (* The static mutation oracle over this study's kernel; pass
-     [~oracle:(Kfi.Study.make_oracle study)] to [Config.make] to prune
-     provably-equivalent targets without running them. *)
+  (* The static mutation oracle over this study's kernel, for analysis
+     (kfi-oracle, the report's confusion and slice matrices). *)
   let make_oracle ?interprocedural t =
     Kfi_staticoracle.Oracle.create ?interprocedural (build t)
 

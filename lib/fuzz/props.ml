@@ -787,7 +787,6 @@ let gen_entry rng =
   let bit = Kfi_fuzz.Rng.int rng 8 in
   let workload = Kfi_fuzz.Rng.int rng 3 in
   let outcome = gen_outcome rng in
-  let predicted = Kfi_fuzz.Rng.bool rng in
   let retries = Kfi_fuzz.Rng.int rng 3 in
   let cycles = Kfi_fuzz.Rng.int rng 1_000_000 in
   {
@@ -798,7 +797,6 @@ let gen_entry rng =
     e_bit = bit;
     e_workload = workload;
     e_outcome = outcome;
-    e_predicted = predicted;
     e_retries = retries;
     e_cycles = cycles;
   }

@@ -1,12 +1,9 @@
 (* One record for every knob a campaign run accepts.  The run entry
    points (Experiment.run_campaign/run_all and the Kfi.Study facade)
    take a single [?config]; the pre-Config optional-argument spellings
-   are gone.
-
-   The [oracle] field holds the *resolved* pruning hook (a plain
-   function), not the oracle value itself: the facade resolves
-   [Kfi_staticoracle.Oracle.pruner] exactly once when the config is
-   built, instead of at every entry point. *)
+   are gone.  Every planned target goes through the runner: the
+   golden-coverage skip (Runner.inject) is the only shortcut, and it
+   needs no knob. *)
 
 (* Process-isolated execution (lib/shard): how the supervising
    coordinator spawns, monitors and restarts kfi-worker processes.
@@ -51,7 +48,6 @@ type t = {
   subsample : int;
   seed : int;
   hardening : bool;
-  oracle : (Target.t -> Outcome.t option) option;
   telemetry : Kfi_trace.Telemetry.t option;
   on_progress : (done_:int -> total:int -> unit) option;
   jobs : int;
@@ -87,7 +83,6 @@ let default =
     subsample = 1;
     seed = 42;
     hardening = false;
-    oracle = None;
     telemetry = None;
     on_progress = None;
     jobs = 1;
@@ -100,14 +95,13 @@ let default =
   }
 
 let make ?(subsample = default.subsample) ?(seed = default.seed)
-    ?(hardening = default.hardening) ?oracle ?telemetry ?on_progress
+    ?(hardening = default.hardening) ?telemetry ?on_progress
     ?(jobs = default.jobs) ?journal ?(policy = default.policy) ?metrics
     ?(backend = default.backend) ?(shards = default.shards) ?supervisor () =
   {
     subsample;
     seed;
     hardening;
-    oracle;
     telemetry;
     on_progress;
     jobs;
@@ -119,12 +113,10 @@ let make ?(subsample = default.subsample) ?(seed = default.seed)
     supervisor;
   }
 
-(* The fingerprint guarding a resumed journal: everything that changes
-   which targets are enumerated or how they behave.  The oracle's
-   *identity* cannot be fingerprinted (it is a closure), but its
-   presence can — resuming a pruned run without the oracle (or vice
-   versa) would change which entries exist. *)
+(* The fingerprint guarding a resumed journal: the journal's entry
+   layout, then everything that changes which targets are enumerated or
+   how they behave.  The layout word makes a journal written by an older
+   tree mismatch, so it is refused rather than misread. *)
 let fingerprint t =
-  Printf.sprintf "kfi-journal-v1 seed=%d subsample=%d hardening=%b oracle=%b"
-    t.seed t.subsample t.hardening
-    (t.oracle <> None)
+  Printf.sprintf "%s seed=%d subsample=%d hardening=%b" Journal.layout t.seed
+    t.subsample t.hardening

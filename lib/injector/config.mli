@@ -42,12 +42,6 @@ type t = {
   subsample : int;  (** keep every k-th target (1 = the full enumeration) *)
   seed : int;  (** fixes the per-byte bit choice *)
   hardening : bool;  (** the Section-7.4 interface assertions *)
-  oracle : (Target.t -> Outcome.t option) option;
-      (** the {e resolved} static-oracle pruning hook
-          ([Kfi_staticoracle.Oracle.pruner oracle]); targets it resolves
-          are recorded as predicted and never run on a machine.  The
-          [Kfi.Config] facade resolves an oracle value into this hook
-          once, at config-build time. *)
   telemetry : Kfi_trace.Telemetry.t option;
       (** receives one JSONL event per target plus campaign markers *)
   on_progress : (done_:int -> total:int -> unit) option;
@@ -92,7 +86,7 @@ type t = {
 }
 
 val default : t
-(** [{ subsample = 1; seed = 42; hardening = false; oracle = None;
+(** [{ subsample = 1; seed = 42; hardening = false;
       telemetry = None; on_progress = None; jobs = 1; journal = None;
       policy = Fleet.default_policy; metrics = None;
       backend = Kfi_isa.Backend.Interp; shards = 0;
@@ -102,7 +96,6 @@ val make :
   ?subsample:int ->
   ?seed:int ->
   ?hardening:bool ->
-  ?oracle:(Target.t -> Outcome.t option) ->
   ?telemetry:Kfi_trace.Telemetry.t ->
   ?on_progress:(done_:int -> total:int -> unit) ->
   ?jobs:int ->
@@ -118,6 +111,8 @@ val make :
 
 val fingerprint : t -> string
 (** The string recorded in (and checked against) a journal's header
-    frame: seed, subsample, hardening and oracle {e presence} — the
-    knobs that change which targets exist or how they behave.  Resuming
-    a journal written under a different fingerprint raises. *)
+    frame: the entry layout ({!Journal.layout}), seed, subsample and
+    hardening — the knobs that change which targets exist or how
+    they behave.  Resuming a journal written under a different
+    fingerprint (including any [kfi-journal-v1] journal, whose entries
+    carried a predicted flag) raises. *)

@@ -16,8 +16,6 @@ type record = {
   r_target : Target.t;
   r_workload : int;
   r_outcome : Outcome.t;
-  r_predicted : bool;
-      (* the outcome came from the static oracle, not a real run *)
   r_retries : int;
       (* harness retries consumed before the outcome (0 normally; > 0
          after deadline misses / runner faults, and = the retry budget
@@ -78,43 +76,23 @@ let workload_for profile (t : Target.t) =
   end
   else (addr * 2654435761) lsr 7 mod nworkloads
 
-(* The static-oracle pruning hook ([Kfi_staticoracle.Oracle.pruner]):
-   when it returns an outcome for a target, that outcome is recorded with
-   [r_predicted = true] and the machine never runs.  The oracle only
-   prunes provably-equivalent mutations, so the observable outcome
-   distribution is preserved. *)
 (* One "target" telemetry event, plus the aggregate counters the report
-   surfaces.  Pruned targets cost no machine time, so their wall/cycle
-   fields are zero and they stay out of the activation-rate denominator.
-   Timing comes in explicitly (not from the runner's [last_*] fields):
-   under a fleet the run happened on another domain's runner. *)
-let telemetry_target tm letter (t : Target.t) ~workload ~outcome ~predicted
-    ~retries ~(timing : Fleet.timing) =
+   surfaces.  Timing comes in explicitly (not from the runner's [last_*]
+   fields): under a fleet the run happened on another domain's runner. *)
+let telemetry_target tm letter (t : Target.t) ~workload ~outcome ~retries
+    ~(timing : Fleet.timing) =
   let open Telemetry in
   locked tm (fun () ->
       tm.n_targets <- tm.n_targets + 1;
-      if predicted then tm.n_pruned <- tm.n_pruned + 1
-      else begin
-        tm.n_run <- tm.n_run + 1;
-        tm.wall_run <- tm.wall_run +. timing.Fleet.wall;
-        tm.wall_restore <- tm.wall_restore +. timing.Fleet.restore;
-        tm.sim_cycles <- tm.sim_cycles + timing.Fleet.cycles;
-        if Outcome.is_activated outcome then tm.n_activated <- tm.n_activated + 1;
-        if Outcome.is_crash_or_hang outcome then
-          tm.n_crash_hang <- tm.n_crash_hang + 1;
-        match outcome with
-        | Outcome.Harness_abort _ -> tm.n_aborted <- tm.n_aborted + 1
-        | _ -> ()
-      end);
-  let wall_ms, restore_ms, exec_ms, classify_ms, cycles =
-    if predicted then (0., 0., 0., 0., 0)
-    else
-      ( timing.Fleet.wall *. 1000.,
-        timing.Fleet.restore *. 1000.,
-        timing.Fleet.exec *. 1000.,
-        timing.Fleet.classify *. 1000.,
-        timing.Fleet.cycles )
-  in
+      tm.wall_run <- tm.wall_run +. timing.Fleet.wall;
+      tm.wall_restore <- tm.wall_restore +. timing.Fleet.restore;
+      tm.sim_cycles <- tm.sim_cycles + timing.Fleet.cycles;
+      if Outcome.is_activated outcome then tm.n_activated <- tm.n_activated + 1;
+      if Outcome.is_crash_or_hang outcome then
+        tm.n_crash_hang <- tm.n_crash_hang + 1;
+      match outcome with
+      | Outcome.Harness_abort _ -> tm.n_aborted <- tm.n_aborted + 1
+      | _ -> ());
   let path =
     match outcome with
     | Outcome.Crash { propagation = _ :: _ :: _ as p; _ } ->
@@ -130,13 +108,12 @@ let telemetry_target tm letter (t : Target.t) ~workload ~outcome ~predicted
        ("bit", Int t.Target.t_bit);
        ("workload", Str (List.nth Kfi_workload.Progs.names workload));
        ("outcome", Str (Outcome.category outcome));
-       ("predicted", Bool predicted);
        ("retries", Int retries);
-       ("wall_ms", Float wall_ms);
-       ("restore_ms", Float restore_ms);
-       ("exec_ms", Float exec_ms);
-       ("classify_ms", Float classify_ms);
-       ("cycles", Int cycles);
+       ("wall_ms", Float (timing.Fleet.wall *. 1000.));
+       ("restore_ms", Float (timing.Fleet.restore *. 1000.));
+       ("exec_ms", Float (timing.Fleet.exec *. 1000.));
+       ("classify_ms", Float (timing.Fleet.classify *. 1000.));
+       ("cycles", Int timing.Fleet.cycles);
      ]
     @ path)
 
@@ -150,7 +127,6 @@ let run_targets ?(config = Config.default) ?fleet runner profile campaign
     Config.subsample;
     seed;
     hardening;
-    oracle;
     telemetry;
     on_progress;
     jobs;
@@ -194,7 +170,7 @@ let run_targets ?(config = Config.default) ?fleet runner profile campaign
          ("seed", Telemetry.Int seed);
        ]
    | None -> ());
-  (* the planning pass: workload choice and oracle resolution are
+  (* the planning pass: workload choice and journal replay are
      machine-independent, so they happen here, serially, whatever [jobs]
      is — workers then only ever touch their own runner *)
   let items =
@@ -202,15 +178,13 @@ let run_targets ?(config = Config.default) ?fleet runner profile campaign
     Array.of_list targets
     |> Array.map (fun (t : Target.t) ->
            let workload = workload_for profile t in
-           let predicted = match oracle with Some o -> o t | None -> None in
-           (* journal replay: oracle-pruned targets are recomputed above
-              (they were never journaled); everything else found in the
-              journal is surfaced from its entry instead of re-run.  The
-              deterministic cycle count rides along so the replayed
-              telemetry matches a live run's *)
+           (* journal replay: a target found in the journal is surfaced
+              from its entry instead of re-run.  The deterministic cycle
+              count rides along so the replayed telemetry matches a live
+              run's *)
            let done_ =
-             match (journal, predicted) with
-             | Some j, None -> (
+             match journal with
+             | Some j -> (
                match Journal.find j (Journal.key_of_target campaign t) with
                | Some e when e.Journal.e_workload = workload ->
                  Some
@@ -221,34 +195,27 @@ let run_targets ?(config = Config.default) ?fleet runner profile campaign
                          Fleet.timing_zero with
                          Fleet.cycles = e.Journal.e_cycles;
                        };
-                     res_predicted = e.Journal.e_predicted;
                      res_retries = e.Journal.e_retries;
                    }
                | _ -> None)
-             | _ -> None
+             | None -> None
            in
-           {
-             Fleet.it_target = t;
-             it_workload = workload;
-             it_predicted = predicted;
-             it_done = done_;
-           })
+           { Fleet.it_target = t; it_workload = workload; it_done = done_ })
   in
   (match metrics with
    | Some m ->
-     let count p = Array.fold_left (fun a it -> if p it then a + 1 else a) 0 in
      Kfi_obs.Metrics.incr m ~by:total "campaign.targets";
      Kfi_obs.Metrics.incr m
-       ~by:(count (fun it -> it.Fleet.it_predicted <> None) items)
-       "campaign.pruned";
-     Kfi_obs.Metrics.incr m
-       ~by:(count (fun it -> it.Fleet.it_done <> None) items)
+       ~by:
+         (Array.fold_left
+            (fun a it -> if it.Fleet.it_done <> None then a + 1 else a)
+            0 items)
        "campaign.replayed"
    | None -> ());
   (* progress ticks and telemetry always fire in serial target order:
      the serial loop emits as it runs, the fleet's collector re-orders.
-     Pruned and journal-replayed targets tick like any other, so tick
-     counts are identical across prune/skip/resume. *)
+     Journal-replayed targets tick like any other, so tick counts are
+     identical across fresh and resumed runs. *)
   let emit i (it : Fleet.item) (res : Fleet.result) =
     (* the collector-merge span: progress + telemetry emission, on the
        collecting domain, in serial target order *)
@@ -257,8 +224,8 @@ let run_targets ?(config = Config.default) ?fleet runner profile campaign
     match telemetry with
     | Some tm ->
       telemetry_target tm letter it.Fleet.it_target ~workload:it.Fleet.it_workload
-        ~outcome:res.Fleet.res_outcome ~predicted:res.Fleet.res_predicted
-        ~retries:res.Fleet.res_retries ~timing:res.Fleet.res_timing
+        ~outcome:res.Fleet.res_outcome ~retries:res.Fleet.res_retries
+        ~timing:res.Fleet.res_timing
     | None -> ()
   in
   (* the journal hook fires in *completion* order, on the domain that ran
@@ -266,7 +233,7 @@ let run_targets ?(config = Config.default) ?fleet runner profile campaign
      most the in-flight injections, never a completed one *)
   let journal_append _i (it : Fleet.item) (res : Fleet.result) =
     match journal with
-    | Some j when it.Fleet.it_done = None && not res.Fleet.res_predicted ->
+    | Some j when it.Fleet.it_done = None ->
       let t = it.Fleet.it_target in
       Journal.append j
         {
@@ -277,7 +244,6 @@ let run_targets ?(config = Config.default) ?fleet runner profile campaign
           e_bit = t.Target.t_bit;
           e_workload = it.Fleet.it_workload;
           e_outcome = res.Fleet.res_outcome;
-          e_predicted = res.Fleet.res_predicted;
           e_retries = res.Fleet.res_retries;
           e_cycles = res.Fleet.res_timing.Fleet.cycles;
         }
@@ -315,11 +281,7 @@ let run_targets ?(config = Config.default) ?fleet runner profile campaign
      Telemetry.locked tm (fun () ->
          tm.Telemetry.wall_total <- tm.Telemetry.wall_total +. wall);
      let count p = Array.fold_left (fun n r -> if p r then n + 1 else n) 0 results in
-     let run = count (fun r -> not r.Fleet.res_predicted) in
-     let activated =
-       count (fun r ->
-           (not r.Fleet.res_predicted) && Outcome.is_activated r.Fleet.res_outcome)
-     in
+     let activated = count (fun r -> Outcome.is_activated r.Fleet.res_outcome) in
      let aborted =
        count (fun r ->
            match r.Fleet.res_outcome with
@@ -329,13 +291,11 @@ let run_targets ?(config = Config.default) ?fleet runner profile campaign
      Telemetry.event tm "campaign_end"
        [ ("campaign", Telemetry.Str letter);
          ("targets", Telemetry.Int total);
-         ("run", Telemetry.Int run);
-         ("pruned", Telemetry.Int (total - run));
          ("activated", Telemetry.Int activated);
          ("aborted", Telemetry.Int aborted);
          ("wall_s", Telemetry.Float wall);
          ("inj_per_s",
-          Telemetry.Float (if wall > 0. then float_of_int run /. wall else 0.));
+          Telemetry.Float (if wall > 0. then float_of_int total /. wall else 0.));
        ]
    | None -> ());
   Array.to_list
@@ -346,7 +306,6 @@ let run_targets ?(config = Config.default) ?fleet runner profile campaign
            r_target = it.Fleet.it_target;
            r_workload = it.Fleet.it_workload;
            r_outcome = results.(i).Fleet.res_outcome;
-           r_predicted = results.(i).Fleet.res_predicted;
            r_retries = results.(i).Fleet.res_retries;
          })
        items)
@@ -380,7 +339,7 @@ let csv_field s =
 let to_csv records =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
-    "campaign,function,subsystem,addr,byte,bit,workload,outcome,cause,latency,crash_fn,crash_subsys,severity,dumped,predicted,retries,propagation\n";
+    "campaign,function,subsystem,addr,byte,bit,workload,outcome,cause,latency,crash_fn,crash_subsys,severity,dumped,retries,propagation\n";
   List.iter
     (fun r ->
       let t = r.r_target in
@@ -405,14 +364,12 @@ let to_csv records =
           ("harness_abort", a.Outcome.ha_reason, "", "", "", "", "", "")
       in
       Buffer.add_string buf
-        (Printf.sprintf "%s,%s,%s,0x%lx,%d,%d,%s,%s,%s,%s,%s,%s,%s,%s,%s,%d,%s\n"
+        (Printf.sprintf "%s,%s,%s,0x%lx,%d,%d,%s,%s,%s,%s,%s,%s,%s,%s,%d,%s\n"
            (Target.campaign_letter r.r_campaign)
            (csv_field t.Target.t_fn) (csv_field t.Target.t_subsys)
            t.Target.t_addr t.Target.t_byte t.Target.t_bit
            (List.nth Kfi_workload.Progs.names r.r_workload)
            outcome (csv_field cause) latency (csv_field cfn) (csv_field csub)
-           sev dumped
-           (if r.r_predicted then "yes" else "no")
-           r.r_retries (csv_field path)))
+           sev dumped r.r_retries (csv_field path)))
     records;
   Buffer.contents buf

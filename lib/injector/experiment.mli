@@ -7,9 +7,6 @@ type record = {
   r_target : Target.t;
   r_workload : int; (** index into {!Kfi_workload.Progs.names} *)
   r_outcome : Outcome.t;
-  r_predicted : bool;
-      (** the outcome came from the static oracle (the target was pruned
-          as provably equivalent), not from a real run *)
   r_retries : int;
       (** harness retries consumed before the outcome: 0 normally, > 0
           after recovered deadline misses / runner faults, and the full
@@ -85,7 +82,7 @@ val run_campaign :
     {!Fleet.policy}); anything else that fails — a journal append, say —
     aborts the run at any [jobs]; progress ticks fire once
     per target plus a final 100% tick in every path, including when all
-    targets were pruned or journal-skipped. *)
+    targets were journal-replayed. *)
 
 val run_all :
   ?config:Config.t ->

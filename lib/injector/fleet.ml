@@ -13,7 +13,7 @@
    Atomic — no external dependencies.  Determinism falls out of the
    design: a runner's behavior depends only on its (deterministic) boot,
    each injection restores a snapshot before running, and planning
-   (target enumeration, workload choice, oracle resolution) happened
+   (target enumeration, workload choice, journal replay) happened
    serially before the fleet is involved.
 
    Robustness (the paper's harness ran >35,000 injections under a
@@ -53,17 +53,14 @@ let timing_of_runner (r : Runner.t) =
 type item = {
   it_target : Target.t;
   it_workload : int;
-  it_predicted : Outcome.t option;
-      (* statically resolved by the oracle: never touches a machine *)
   it_done : result option;
       (* already completed in a previous run (journal replay): never
-         touches a machine either, the recorded result is surfaced *)
+         touches a machine, the recorded result is surfaced *)
 }
 
 and result = {
   res_outcome : Outcome.t;
   res_timing : timing;
-  res_predicted : bool;
   res_retries : int; (* harness retries consumed before this outcome *)
 }
 
@@ -126,7 +123,6 @@ let quarantine ~reason ~retries =
   {
     res_outcome = Outcome.Harness_abort { ha_reason = reason; ha_retries = retries };
     res_timing = timing_zero;
-    res_predicted = false;
     res_retries = retries;
   }
 
@@ -189,54 +185,44 @@ let run_attempt ~policy ~attempt (r : Runner.t) it =
   {
     res_outcome = o;
     res_timing = timing_of_runner r;
-    res_predicted = false;
     res_retries = attempt;
   }
 
 let run_item_safe ?(policy = default_policy) (r : Runner.t) it =
   match it.it_done with
   | Some res -> res
-  | None -> (
-    match it.it_predicted with
-    | Some o ->
-      {
-        res_outcome = o;
-        res_timing = timing_zero;
-        res_predicted = true;
-        res_retries = 0;
-      }
-    | None ->
-      (* attempt 0 and the first retry reuse [r] (every injection
-         restores a snapshot, so a failed attempt leaves no residue);
-         later retries suspect the runner itself and boot a fresh one *)
-      let fresh = ref None in
-      let runner_for attempt =
-        if attempt < 2 then r
-        else
-          match !fresh with
-          | Some r' -> r'
-          | None ->
-            let r' = boot_like r in
-            fresh := Some r';
-            r'
-      in
-      let rec go attempt last_reason =
-        if attempt > policy.retries then
-          quarantine ~reason:last_reason ~retries:policy.retries
-        else begin
-          if attempt > 0 then
-            Unix.sleepf
-              (backoff_delay_ms ~policy ~attempt
-                 ~salt:(Hashtbl.hash (it.it_target.Target.t_fn,
-                                      it.it_target.Target.t_byte,
-                                      it.it_target.Target.t_bit))
-               /. 1000.);
-          match run_attempt ~policy ~attempt (runner_for attempt) it with
-          | res -> res
-          | exception e -> go (attempt + 1) (describe_exn e)
-        end
-      in
-      go 0 "")
+  | None ->
+    (* attempt 0 and the first retry reuse [r] (every injection
+       restores a snapshot, so a failed attempt leaves no residue);
+       later retries suspect the runner itself and boot a fresh one *)
+    let fresh = ref None in
+    let runner_for attempt =
+      if attempt < 2 then r
+      else
+        match !fresh with
+        | Some r' -> r'
+        | None ->
+          let r' = boot_like r in
+          fresh := Some r';
+          r'
+    in
+    let rec go attempt last_reason =
+      if attempt > policy.retries then
+        quarantine ~reason:last_reason ~retries:policy.retries
+      else begin
+        if attempt > 0 then
+          Unix.sleepf
+            (backoff_delay_ms ~policy ~attempt
+               ~salt:(Hashtbl.hash (it.it_target.Target.t_fn,
+                                    it.it_target.Target.t_byte,
+                                    it.it_target.Target.t_bit))
+             /. 1000.);
+        match run_attempt ~policy ~attempt (runner_for attempt) it with
+        | res -> res
+        | exception e -> go (attempt + 1) (describe_exn e)
+      end
+    in
+    go 0 ""
 
 (* ----- a run ----- *)
 

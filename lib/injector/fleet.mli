@@ -32,26 +32,23 @@ type timing = {
 }
 
 val timing_zero : timing
-(** All-zero timing, used for oracle-pruned and journal-replayed
-    targets. *)
+(** All-zero timing, used for journal-replayed targets and
+    quarantined ones. *)
 
-(** One unit of planned work.  Planning (workload choice, oracle
-    resolution, journal replay) is serial and machine-independent; items
-    carry its results so workers only ever touch their own runner. *)
+(** One unit of planned work.  Planning (workload choice, journal
+    replay) is serial and machine-independent; items carry its results
+    so workers only ever touch their own runner. *)
 type item = {
   it_target : Target.t;
   it_workload : int;
-  it_predicted : Outcome.t option;
-      (** statically resolved by the oracle: never touches a machine *)
   it_done : result option;
       (** completed in a previous run and replayed from the journal:
-          never touches a machine either *)
+          never touches a machine *)
 }
 
 and result = {
   res_outcome : Outcome.t;
   res_timing : timing;
-  res_predicted : bool;
   res_retries : int;
       (** harness retries consumed before this outcome (0 normally) *)
 }
@@ -93,14 +90,13 @@ val backoff_delay_ms : policy:policy -> attempt:int -> salt:int -> float
 
 val run_item_safe : ?policy:policy -> Runner.t -> item -> result
 (** Execute one item on the given runner through {!Runner.inject} (or
-    resolve it statically / from the journal), capturing the runner's
-    timing, under a
-    {!policy}: each attempt gets a fresh wall-clock deadline; a deadline
-    miss or runner exception is retried with exponential backoff (the
-    second and later retries boot a fresh runner); a target still
-    failing after [policy.retries] retries is quarantined as
-    {!Outcome.Harness_abort} with the last failure reason.  Never
-    raises.  The serial campaign path, the fleet's workers and the
+    surface its journal-replayed result), capturing the runner's
+    timing, under a {!policy}: each attempt gets a fresh wall-clock
+    deadline; a deadline miss or runner exception is retried with
+    exponential backoff (the second and later retries boot a fresh
+    runner); a target still failing after [policy.retries] retries is
+    quarantined as {!Outcome.Harness_abort} with the last failure
+    reason.  Never raises.  The serial campaign path, the fleet's workers and the
     shard workers share this. *)
 
 type t

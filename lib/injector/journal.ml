@@ -13,9 +13,11 @@
      frame  := u32 payload_length, u32 crc32(payload), payload bytes
 
    The first frame's payload is [F_meta fingerprint] — a string
-   identifying the run configuration (seed, subsample, hardening,
-   oracle), so a journal is never silently resumed under a config that
-   would enumerate different targets or observe different outcomes.
+   identifying the entry layout and the run configuration
+   ("kfi-journal-v2 seed=.. subsample=.. hardening=.."), so a journal is
+   never silently resumed under a config that would enumerate different
+   targets or observe different outcomes, nor read back under a
+   different entry layout (v1 entries carried a predicted flag).
    Every other frame is one [F_entry]: the target key, its workload, the
    classified outcome, the retry count and the simulated cycle count
    (cycles are deterministic, so replayed telemetry matches a live run).
@@ -35,12 +37,16 @@ type entry = {
   e_bit : int;
   e_workload : int;
   e_outcome : Outcome.t;
-  e_predicted : bool;
   e_retries : int;
   e_cycles : int;
 }
 
 type frame = F_meta of string | F_entry of entry
+
+(* The entry layout this tree marshals, and the first word of every
+   fingerprint ([Config.fingerprint]).  v1 entries carried a predicted
+   flag between outcome and retries. *)
+let layout = "kfi-journal-v2"
 
 (* The lookup key: enough to identify a target within an enumeration.
    [t_addr] disambiguates instructions of the same function; [t_byte] /
@@ -247,6 +253,19 @@ let close t =
       (try Unix.fsync (Unix.descr_of_out_channel t.oc) with Unix.Unix_error _ -> ());
       close_out_noerr t.oc)
 
+(* A header naming another kfi-journal layout; other fingerprints are
+   the caller's own (tests, embedders) and are checked by
+   [check_fingerprint] only. *)
+let other_layout m =
+  String.starts_with ~prefix:"kfi-journal-" m
+  && not (String.starts_with ~prefix:(layout ^ " ") m)
+
 let read_file path =
-  let entries, _, _, _ = load_existing path in
-  entries
+  let entries, meta, _, _ = load_existing path in
+  match meta with
+  | Some m when other_layout m ->
+    invalid_arg
+      (Printf.sprintf
+         "Journal.read_file: %s was written under %S, not the %s entry layout"
+         path m layout)
+  | _ -> entries

@@ -21,10 +21,15 @@ type entry = {
   e_bit : int;
   e_workload : int;  (** index into the campaign's workload list *)
   e_outcome : Outcome.t;
-  e_predicted : bool;  (** the static oracle pre-classified this target *)
   e_retries : int;  (** harness retries consumed (0 on a clean first run) *)
   e_cycles : int;  (** deterministic simulated cycle count of the run *)
 }
+
+val layout : string
+(** ["kfi-journal-v2"]: the entry layout this tree writes, and the first
+    word of every fingerprint ([Config.fingerprint]).  Journals written
+    under another layout (v1 entries carried a predicted flag) are
+    refused by {!check_fingerprint} and {!read_file}. *)
 
 type key = string * string * int32 * int * int
 (** [(campaign letter, fn, addr, byte, bit)] — [addr] disambiguates
@@ -54,11 +59,13 @@ val open_ : ?resume:bool -> string -> t
     concurrently. *)
 
 val check_fingerprint : t -> fingerprint:string -> unit
-(** On a fresh journal, record [fingerprint] (a digest of the run
-    config: seed, subsample, hardening, oracle) as the header frame.  On
-    a resumed journal, raise [Invalid_argument] if it does not match the
-    recorded one — resuming under a different config would enumerate
-    different targets and silently corrupt the output. *)
+(** On a fresh journal, record [fingerprint] (the entry-layout version
+    and the run config: seed, subsample, hardening — see
+    [Config.fingerprint]) as the header frame.  On a resumed journal,
+    raise [Invalid_argument] if it does not match the recorded one —
+    resuming under a different config would enumerate different targets,
+    and under a different layout would misread every entry.  The
+    campaign runners call this before consulting any loaded entry. *)
 
 val find : t -> key -> entry option
 (** The completed entry for [key], if one was loaded at [open_] time or
@@ -91,7 +98,9 @@ val close : t -> unit
 val read_file : string -> entry list
 (** Offline inspection: decode all intact frames of a journal file
     without opening it for writing.  Raises {!Corrupt} on mid-file
-    corruption (a torn tail is tolerated, as at {!open_}). *)
+    corruption (a torn tail is tolerated, as at {!open_}), and
+    [Invalid_argument] when the header frame names another
+    [kfi-journal-] entry layout than {!layout}. *)
 
 (**/**)
 

@@ -29,7 +29,7 @@ type hello = {
 (* A content-addressed unit of work: a contiguous slice of the planned
    target list, in serial order, with the workload index planned for
    each target (planning is the coordinator's job — workers never
-   consult the profile or the oracle). *)
+   consult the profile). *)
 type shard = {
   sh_id : string; (* hex digest of fingerprint + campaign + targets *)
   sh_index : int; (* position in the split, stable across requeues *)

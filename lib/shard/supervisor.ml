@@ -16,7 +16,7 @@
    Determinism: the merged output is byte-identical to a serial
    in-process run whatever the crash/restart interleaving.  The chain
    that guarantees it:
-     1. planning (enumeration, subsampling, workload choice, oracle) is
+     1. planning (enumeration, subsampling, workload choice) is
         serial and deterministic, done once by the coordinator;
      2. shards are contiguous slices of that planned order, executed
         against per-shard fsync'd journals (outcomes themselves are
@@ -513,7 +513,6 @@ let synth_abort t ((tgt : Target.t), workload) reason deaths =
     e_workload = workload;
     e_outcome =
       Outcome.Harness_abort { ha_reason = reason; ha_retries = deaths };
-    e_predicted = false;
     e_retries = deaths;
     e_cycles = 0;
   }
@@ -596,15 +595,11 @@ let run_campaign ~(config : C.t) runner profile campaign =
     ~finally:(fun () -> if owned then J.close journal0)
     (fun () ->
       J.check_fingerprint journal0 ~fingerprint;
-      (* what actually needs a worker: not oracle-predicted, not already
-         in the campaign journal *)
+      (* what actually needs a worker: not already in the campaign
+         journal *)
       let pending =
         List.filter
           (fun ((tgt : Target.t), workload) ->
-            (match config.C.oracle with
-             | Some o -> o tgt = None
-             | None -> true)
-            &&
             match J.find journal0 (J.key_of_target campaign tgt) with
             | Some e when e.J.e_workload = workload -> false
             | _ -> true)
@@ -723,10 +718,10 @@ let run_campaign ~(config : C.t) runner profile campaign =
                          t.shards)));
               ])
       end;
-      (* replay: every planned target is now either oracle-predicted or
-         durable in journal0, so this serial pass touches no machine and
-         emits records/CSV/JSONL/progress byte-identical to a serial
-         run — the exact code path the CI kill/resume gate certifies *)
+      (* replay: every planned target is now durable in journal0, so
+         this serial pass touches no machine and emits records/CSV/
+         JSONL/progress byte-identical to a serial run — the exact code
+         path the CI kill/resume gate certifies *)
       let config' =
         { config with C.jobs = 1; journal = Some journal0; supervisor = None }
       in

@@ -62,12 +62,7 @@ let run_shard ~runner ~policy ~fingerprint ~dir ~campaign
           | Some e when e.J.e_workload = workload -> ()
           | _ ->
             let item =
-              {
-                Fleet.it_target = t;
-                it_workload = workload;
-                it_predicted = None;
-                it_done = None;
-              }
+              { Fleet.it_target = t; it_workload = workload; it_done = None }
             in
             let res = Fleet.run_item_safe ~policy runner item in
             let entry =
@@ -79,7 +74,6 @@ let run_shard ~runner ~policy ~fingerprint ~dir ~campaign
                 e_bit = t.Target.t_bit;
                 e_workload = workload;
                 e_outcome = res.Fleet.res_outcome;
-                e_predicted = res.Fleet.res_predicted;
                 e_retries = res.Fleet.res_retries;
                 e_cycles = res.Fleet.res_timing.Fleet.cycles;
               }

@@ -11,8 +11,9 @@
      whose every destination (including flags) is dead in the CFG
      liveness.  Every instruction except disk DMA costs one cycle, so a
      same-length pure substitution also preserves timing, interrupt
-     arrival and scheduling; [Equivalent] targets are therefore sound to
-     prune from a campaign.
+     arrival and scheduling; an [Equivalent] target is therefore
+     predicted [Not_manifested] exactly (the fuzz property
+     oracle.equivalent_sound re-runs them to hold it to that).
    - [Invalid_opcode]: the mutant lands in an opcode hole (or on ud2);
      activation must trap with the paper's "invalid opcode" crash cause.
    - [Cond_reversed]: campaign C's bit — same branch, reversed sense.
@@ -67,9 +68,6 @@ type t = {
   live : (string, (int32, int) Hashtbl.t) Hashtbl.t;
   interprocedural : bool;
   mutable ip : ip option;  (* call graph + summaries, built on demand *)
-  mutable metrics : Kfi_obs.Metrics.t option;
-      (* observability: classify/slice spans and pruning counters; the
-         classifications themselves are untouched *)
 }
 
 let create ?(interprocedural = true) build =
@@ -81,15 +79,7 @@ let create ?(interprocedural = true) build =
     live = Hashtbl.create 64;
     interprocedural;
     ip = None;
-    metrics = None;
   }
-
-let set_metrics t m = t.metrics <- m
-
-let mtime t name f =
-  match t.metrics with
-  | Some m -> Kfi_obs.Metrics.time m name f
-  | None -> f ()
 
 let fn_cfg t fn =
   match Hashtbl.find_opt t.cfgs fn with
@@ -257,7 +247,6 @@ let resync_walk t cfg ~target_addr ~mut_len =
 (* ----- classification ----- *)
 
 let classify t (tg : Target.t) =
-  mtime t "oracle.classify" @@ fun () ->
   match tg.Target.t_kind with
   | Target.Register -> Register_target
   | Target.Text ->
@@ -326,7 +315,6 @@ let slice_kind = function
   | Operand_change _ -> Slice.K_data
 
 let slice t (tg : Target.t) =
-  mtime t "oracle.slice" @@ fun () ->
   let env = slice_env t in
   let fn = tg.Target.t_fn in
   let compute = Slice.compute env ~fn ~addr:tg.Target.t_addr in
@@ -375,21 +363,6 @@ let predict = function
   | Operand_change { dead_write = true } -> P_likely_benign
   | Cond_reversed | Priv_change | Control_change | Boundary_shift _
   | Operand_change _ | Register_target -> P_divergent
-
-(* Sound pruning hook for [Experiment.run_campaign ?oracle]: only the
-   provably-equivalent class is skipped. *)
-let pruner t tg =
-  let bump key =
-    match t.metrics with
-    | Some m -> Kfi_obs.Metrics.incr m key
-    | None -> ()
-  in
-  bump "oracle.considered";
-  match classify t tg with
-  | Equivalent _ ->
-    bump "oracle.pruned";
-    Some Outcome.Not_manifested
-  | _ -> None
 
 (* Does an observed outcome contradict the prediction?  [P_crash] only
    claims the crash cause *if the error activates and crashes* (a flip

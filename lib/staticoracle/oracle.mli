@@ -2,11 +2,11 @@
     every injection target by decoding the mutated byte stream in place,
     without booting the machine.
 
+    An analysis tool: campaigns never consult it (every target runs).
     The oracle predicts an outcome class per target; the [Equivalent]
     class is {e sound} (the flip provably cannot change behavior, value
-    or timing) and is used by [Experiment.run_campaign ?oracle] to prune
-    campaigns.  All other classes are predictions validated against real
-    runs by the confusion matrix in [Kfi_analysis.Report]. *)
+    or timing).  All classes are validated against real runs by the
+    confusion and slice matrices in [Kfi_analysis.Report]. *)
 
 open Kfi_isa
 open Kfi_injector
@@ -61,22 +61,11 @@ val summaries : t -> Summary.table
 
 val interprocedural : t -> bool
 
-val set_metrics : t -> Kfi_obs.Metrics.t option -> unit
-(** Attach an observability registry: {!classify} and {!slice} record
-    [oracle.classify] / [oracle.slice] spans, and {!pruner} bumps
-    [oracle.considered] / [oracle.pruned].  Classifications are
-    untouched.  [Kfi.Config.make] wires this automatically when both an
-    oracle and a metrics registry are given. *)
-
 val classify : t -> Target.t -> clazz
 (** Classify one target by decoding its mutated bytes.  Total: every
     campaign A/B/C/R target gets a class. *)
 
 val predict : clazz -> prediction
-
-val pruner : t -> Target.t -> Outcome.t option
-(** The [Experiment.run_campaign ?oracle] hook: [Some Not_manifested]
-    for provably-[Equivalent] targets, [None] (run for real) otherwise. *)
 
 val agrees : ?target:Target.t -> prediction -> Outcome.t -> bool
 (** Whether an observed outcome is consistent with a prediction

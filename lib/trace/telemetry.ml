@@ -208,13 +208,12 @@ let schema =
     ( "target",
       [
         "campaign"; "fn"; "subsys"; "addr"; "byte"; "bit"; "workload"; "outcome";
-        "predicted"; "retries"; "wall_ms"; "restore_ms"; "exec_ms";
+        "retries"; "wall_ms"; "restore_ms"; "exec_ms";
         "classify_ms"; "cycles";
       ] );
     ( "campaign_end",
       [
-        "campaign"; "targets"; "run"; "pruned"; "activated"; "aborted"; "wall_s";
-        "inj_per_s";
+        "campaign"; "targets"; "activated"; "aborted"; "wall_s"; "inj_per_s";
       ] );
   ]
 
@@ -282,9 +281,8 @@ type t = {
          shared by concurrent studies, and the campaign runner batches
          its counter updates under [locked] *)
   mutable seq : int;
-  mutable n_targets : int;       (* targets considered (run + pruned) *)
-  mutable n_run : int;           (* run through the runner, skips included *)
-  mutable n_pruned : int;        (* resolved statically by the oracle *)
+  mutable n_targets : int;       (* every target, coverage-skipped and
+                                    journal-replayed ones included *)
   mutable n_activated : int;
   mutable n_crash_hang : int;
   mutable n_aborted : int;       (* quarantined as Harness_abort *)
@@ -301,8 +299,6 @@ let create ?(sink = fun _ -> ()) () =
     lock = Mutex.create ();
     seq = 0;
     n_targets = 0;
-    n_run = 0;
-    n_pruned = 0;
     n_activated = 0;
     n_crash_hang = 0;
     n_aborted = 0;
@@ -325,8 +321,6 @@ let event t ty fields =
 (* Aggregates for the report. *)
 type summary = {
   s_targets : int;
-  s_run : int;
-  s_pruned : int;
   s_activated : int;
   s_crash_hang : int;
   s_aborted : int;
@@ -340,8 +334,6 @@ type summary = {
 let summary t =
   {
     s_targets = t.n_targets;
-    s_run = t.n_run;
-    s_pruned = t.n_pruned;
     s_activated = t.n_activated;
     s_crash_hang = t.n_crash_hang;
     s_aborted = t.n_aborted;
@@ -359,10 +351,9 @@ let summary_to_string s =
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "Campaign telemetry\n";
   add "%s\n" (String.make 78 '-');
-  add "targets              %8d  (%d run on the machine, %d oracle-pruned)\n"
-    s.s_targets s.s_run s.s_pruned;
-  add "activation rate      %7.1f%%  (%d of %d run)\n"
-    (pct s.s_activated s.s_run) s.s_activated s.s_run;
+  add "targets              %8d\n" s.s_targets;
+  add "activation rate      %7.1f%%  (%d of %d)\n"
+    (pct s.s_activated s.s_targets) s.s_activated s.s_targets;
   add "crash/hang           %8d  (%.1f%% of activated)\n" s.s_crash_hang
     (pct s.s_crash_hang s.s_activated);
   if s.s_aborted > 0 then
@@ -373,7 +364,7 @@ let summary_to_string s =
     (if s.s_wall_run > 0. then 100. *. s.s_wall_restore /. s.s_wall_run else 0.);
   (if s.s_wall_run > 0. then
      add "throughput           %8.1f injections/s, %.0f simulated cycles/s\n"
-       (float_of_int s.s_run /. s.s_wall_run)
+       (float_of_int s.s_targets /. s.s_wall_run)
        (float_of_int s.s_sim_cycles /. s.s_wall_run));
   add "simulated cycles     %8d across all runs\n" s.s_sim_cycles;
   add "events emitted       %8d\n" s.s_events;

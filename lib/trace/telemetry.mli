@@ -48,8 +48,8 @@ type t = {
   lock : Mutex.t;  (** guards [seq], the sink and the counters *)
   mutable seq : int;
   mutable n_targets : int;
-  mutable n_run : int;
-  mutable n_pruned : int;
+      (** every target, coverage-skipped and journal-replayed ones
+          included *)
   mutable n_activated : int;
   mutable n_crash_hang : int;
   mutable n_aborted : int;  (** quarantined as [Harness_abort] *)
@@ -74,8 +74,6 @@ val event : t -> string -> (string * value) list -> unit
 (** Immutable aggregate view for reports. *)
 type summary = {
   s_targets : int;
-  s_run : int;
-  s_pruned : int;
   s_activated : int;
   s_crash_hang : int;
   s_aborted : int;

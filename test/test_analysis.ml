@@ -25,7 +25,6 @@ let mk ?(campaign = Target.A) ?fn ?subsys outcome =
     r_target = mk_target ?fn ?subsys ();
     r_workload = 0;
     r_outcome = outcome;
-    r_predicted = false;
     r_retries = 0;
   }
 

@@ -27,7 +27,6 @@ let mk_entry ?(fn = "f") ?(addr = 0xC0100000l) ?(byte = 0) ?(bit = 0)
     e_bit = bit;
     e_workload = 0;
     e_outcome = outcome;
-    e_predicted = false;
     e_retries = 0;
     e_cycles = 12345;
   }
@@ -82,6 +81,76 @@ let test_roundtrip_and_fingerprint () =
   check int "fresh open loads nothing" 0 (Journal.loaded j3);
   Journal.close j3;
   check int "file truncated" 0 (String.length (read_bytes path));
+  Sys.remove path
+
+(* The v1 entry layout, as journals written before the predicted flag
+   was dropped marshalled it.  Field order and types mirror that layout
+   exactly, so [write_v1_journal] produces the bytes an older tree left
+   on disk. *)
+type v1_entry = {
+  v1_campaign : Target.campaign;
+  v1_fn : string;
+  v1_addr : int32;
+  v1_byte : int;
+  v1_bit : int;
+  v1_workload : int;
+  v1_outcome : Outcome.t;
+  v1_predicted : bool;
+  v1_retries : int;
+  v1_cycles : int;
+}
+
+type v1_frame = V1_meta of string | V1_entry of v1_entry
+
+let write_v1_journal path frames =
+  let oc = open_out_bin path in
+  List.iter
+    (fun (f : v1_frame) ->
+      let payload = Marshal.to_string f [] in
+      let b = Bytes.create 8 in
+      Bytes.set_int32_le b 0 (Int32.of_int (String.length payload));
+      Bytes.set_int32_le b 4 (Int32.of_int (Journal.crc32 payload));
+      output_bytes oc b;
+      output_string oc payload)
+    frames;
+  close_out oc
+
+(* A journal written under the v1 layout is refused by the fingerprint
+   check — which every campaign runner performs before it consults any
+   loaded entry — instead of having its entries misread. *)
+let test_v1_journal_refused () =
+  let path = tmp_journal () in
+  write_v1_journal path
+    [ V1_meta "kfi-journal-v1 seed=42 subsample=1 hardening=false oracle=false";
+      V1_entry
+        {
+          v1_campaign = Target.A;
+          v1_fn = "schedule";
+          v1_addr = 0xC0100000l;
+          v1_byte = 0;
+          v1_bit = 3;
+          v1_workload = 0;
+          v1_outcome = Outcome.Not_manifested;
+          v1_predicted = false;
+          v1_retries = 0;
+          v1_cycles = 12345;
+        } ];
+  let j = Journal.open_ ~resume:true path in
+  check int "v1 frames are intact on disk" 1 (Journal.loaded j);
+  let fingerprint = Config.fingerprint Config.default in
+  check bool "fingerprint names the v2 layout" true
+    (String.starts_with ~prefix:"kfi-journal-v2 " fingerprint);
+  (try
+     Journal.check_fingerprint j ~fingerprint;
+     Alcotest.fail "v1 journal accepted under the v2 layout"
+   with Invalid_argument _ -> ());
+  Journal.close j;
+  (* offline readers (kfi-trace --dump-journal, the shard merge) refuse
+     it too, instead of misreading its entries *)
+  (try
+     ignore (Journal.read_file path);
+     Alcotest.fail "read_file decoded a v1 journal"
+   with Invalid_argument _ -> ());
   Sys.remove path
 
 let test_torn_tail_truncated () =
@@ -260,7 +329,6 @@ let test_abort_surfaces () =
           };
         r_workload = 0;
         r_outcome = abort;
-        r_predicted = false;
         r_retries = 2;
       };
     ]
@@ -280,7 +348,7 @@ let first_real_item () =
     List.hd
       (Target.enumerate (Runner.build r) ~campaign:Target.A ~seed:1 [ "schedule" ])
   in
-  { Fleet.it_target = t; it_workload = 0; it_predicted = None; it_done = None }
+  { Fleet.it_target = t; it_workload = 0; it_done = None }
 
 let test_retry_recovers_transient () =
   let r = Lazy.force runner in
@@ -486,6 +554,8 @@ let suite =
     Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
     Alcotest.test_case "journal round trip + fingerprint" `Quick
       test_roundtrip_and_fingerprint;
+    Alcotest.test_case "v1 journal refused by fingerprint" `Quick
+      test_v1_journal_refused;
     Alcotest.test_case "torn tail truncated" `Quick test_torn_tail_truncated;
     Alcotest.test_case "mid-file corruption refused (Corrupt)" `Quick
       test_corrupt_middle_refused;

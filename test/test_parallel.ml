@@ -28,7 +28,6 @@ let test_config_default_fields () =
   check int "subsample" 1 d.Config.subsample;
   check int "seed" 42 d.Config.seed;
   check bool "hardening" false d.Config.hardening;
-  check bool "no oracle" true (d.Config.oracle = None);
   check bool "no telemetry" true (d.Config.telemetry = None);
   check bool "no progress" true (d.Config.on_progress = None);
   check int "jobs" 1 d.Config.jobs;
@@ -42,48 +41,37 @@ let test_config_default_fields () =
   check int "make seed" d.Config.seed m.Config.seed;
   check int "make jobs" d.Config.jobs m.Config.jobs
 
-(* the facade's Config.make resolves an oracle value into the hook *)
-let test_facade_resolves_oracle () =
-  let oracle = Kfi_staticoracle.Oracle.create (Kfi_kernel.Build.build ()) in
-  let cfg = Kfi.Config.make ~oracle () in
-  match cfg.Kfi.Config.oracle with
-  | None -> Alcotest.fail "oracle not resolved"
-  | Some pruner ->
-    (* the resolved hook behaves like Oracle.pruner *)
-    let targets =
-      Target.enumerate (Kfi_kernel.Build.build ()) ~campaign:Target.A ~seed:1
-        [ "schedule" ]
-    in
-    List.iter
-      (fun t ->
-        check bool "hook = pruner" true
-          (pruner t = Kfi_staticoracle.Oracle.pruner oracle t))
-      targets
-
 (* ----- Fleet.run collection order ----- *)
 
-(* An all-predicted plan needs no machine, so this exercises the claim
-   counter + collector machinery in isolation. *)
-let predicted_items () =
+(* An all-replayed plan (every item already in the journal) needs no
+   machine, so this exercises the claim counter + collector machinery in
+   isolation.  Item i replays cycle count i, so a result shows which
+   item it came from. *)
+let replayed_items () =
   let r = Lazy.force runner in
   Target.enumerate (Runner.build r) ~campaign:Target.A ~seed:1 [ "schedule" ]
   |> Array.of_list
-  |> Array.map (fun t ->
+  |> Array.mapi (fun i t ->
          {
            Fleet.it_target = t;
            it_workload = 0;
-           it_predicted = Some Outcome.Not_manifested;
-           it_done = None;
+           it_done =
+             Some
+               {
+                 Fleet.res_outcome = Outcome.Not_manifested;
+                 res_timing = { Fleet.timing_zero with Fleet.cycles = i };
+                 res_retries = 0;
+               };
          })
 
-(* results arrive via on_result in strict index order, with zero timing
-   and res_predicted set; on_complete fires exactly once per index *)
+(* results arrive via on_result in strict index order, each the item's
+   replayed result; on_complete fires exactly once per index *)
 let test_fleet_ordered_collection () =
   let fleet = Lazy.force pool in
   check int "pool size" 4 (Fleet.size fleet);
   check bool "primary preserved" true
     (Fleet.primary fleet == Lazy.force runner);
-  let items = predicted_items () in
+  let items = replayed_items () in
   let n = Array.length items in
   let completed = Array.init n (fun _ -> Atomic.make 0) in
   let seen = ref [] in
@@ -91,10 +79,10 @@ let test_fleet_ordered_collection () =
     (* jobs above the pool size must clamp, not crash *)
     Fleet.run ~jobs:5
       ~on_complete:(fun i _ _ -> Atomic.incr completed.(i))
-      ~on_result:(fun i _ res ->
+      ~on_result:(fun i it res ->
         seen := i :: !seen;
-        check bool "predicted" true res.Fleet.res_predicted;
-        check int "zero cycles" 0 res.Fleet.res_timing.Fleet.cycles)
+        check bool "replayed result surfaced" true (Some res = it.Fleet.it_done);
+        check int "result of item i" i res.Fleet.res_timing.Fleet.cycles)
       fleet items
   in
   check int "all results" n (Array.length results);
@@ -116,7 +104,7 @@ exception Append_failed
 
 let test_fleet_worker_failure_raises () =
   let fleet = Lazy.force pool in
-  let items = predicted_items () in
+  let items = replayed_items () in
   let bad = Array.length items / 2 in
   let surfaced = ref [] in
   Alcotest.check_raises "on_complete exception re-raised" Append_failed
@@ -187,8 +175,6 @@ let test_jobs4_identical_to_serial () =
 let suite =
   [
     Alcotest.test_case "Config.default fields" `Quick test_config_default_fields;
-    Alcotest.test_case "facade resolves oracle once" `Quick
-      test_facade_resolves_oracle;
     Alcotest.test_case "fleet ordered collection" `Slow
       test_fleet_ordered_collection;
     Alcotest.test_case "fleet worker failure re-raised" `Slow

@@ -41,7 +41,6 @@ let mk_entry ?(fn = "f") ?(byte = 0) ?(bit = 0) () =
     e_bit = bit;
     e_workload = 1;
     e_outcome = Outcome.Not_manifested;
-    e_predicted = false;
     e_retries = 0;
     e_cycles = 99;
   }
@@ -240,7 +239,7 @@ let test_backoff_exhaustion_quarantines () =
   let targets = fake_targets 1 in
   let t, workload = List.hd targets in
   let item =
-    { Fleet.it_target = t; it_workload = workload; it_predicted = None; it_done = None }
+    { Fleet.it_target = t; it_workload = workload; it_done = None }
   in
   let res = Fleet.run_item_safe ~policy r item in
   (match res.Fleet.res_outcome with

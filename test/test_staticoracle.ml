@@ -245,20 +245,6 @@ let test_classify_expected_classes () =
       | _ -> ())
     classes
 
-let test_pruner_only_prunes_equivalent () =
-  let b = Lazy.force build in
-  let o = Lazy.force oracle in
-  let targets = Target.enumerate b ~campaign:Target.A ~seed:42 (injectable_fns ()) in
-  List.iter
-    (fun t ->
-      let pruned = Oracle.pruner o t in
-      match (Oracle.classify o t, pruned) with
-      | Oracle.Equivalent _, Some Outcome.Not_manifested -> ()
-      | Oracle.Equivalent _, _ -> Alcotest.fail "equivalent target not pruned"
-      | _, Some _ -> Alcotest.fail "non-equivalent target pruned"
-      | _, None -> ())
-    targets
-
 let test_register_targets () =
   let b = Lazy.force build in
   let o = Lazy.force oracle in
@@ -519,7 +505,7 @@ let test_agrees_matrix () =
   check bool "crash with unknown fn tolerated" true
     (Oracle.agrees ~target:t p (Outcome.Crash (mk_ci ~fn:None ())))
 
-(* {2 Interprocedural pruning} *)
+(* {2 Interprocedural equivalences} *)
 
 let test_interprocedural_prunes_strictly_more () =
   let b = Lazy.force build in
@@ -545,11 +531,11 @@ let test_interprocedural_prunes_strictly_more () =
     true
     (List.length ip > List.length base)
 
-(* {2 Soundness (slow): pruned targets really are benign} *)
+(* {2 Soundness (slow): proven-Equivalent targets really are benign} *)
 
 let test_equivalent_soundness () =
-  (* Every target the oracle would prune must, when actually run, be
-     Not_activated or Not_manifested — never a crash, hang or fail
+  (* Every target the oracle proves Equivalent must, when actually run,
+     be Not_activated or Not_manifested — never a crash, hang or fail
      silence violation.  A single counterexample is an oracle bug. *)
   let b = Lazy.force build in
   let o = Lazy.force oracle in
@@ -567,46 +553,9 @@ let test_equivalent_soundness () =
       match Runner.run_one r ~workload:wl t with
       | Outcome.Not_activated | Outcome.Not_manifested -> ()
       | out ->
-          Alcotest.failf "pruned target %s+0x%x bit %d manifested as %s"
+          Alcotest.failf "proven-Equivalent target %s+0x%x bit %d manifested as %s"
             t.Target.t_fn t.Target.t_byte t.Target.t_bit (Outcome.category out))
     audit
-
-let test_pruned_campaign_csv_identical () =
-  (* Pruning must only substitute predicted rows: dropping them from
-     both runs leaves byte-identical CSV. *)
-  let r = Lazy.force runner in
-  let p =
-    Kfi_profiler.Sampler.profile_all ~build:(Runner.build r)
-      ~machine:(Runner.machine r) ~baseline:(Runner.baseline r) ()
-  in
-  let o = Oracle.create (Runner.build r) in
-  let plain =
-    Experiment.run_campaign ~config:(Config.make ~subsample:45 ()) r p Target.A
-  in
-  let pruned =
-    Experiment.run_campaign
-      ~config:(Config.make ~subsample:45 ~oracle:(Oracle.pruner o) ())
-      r p Target.A
-  in
-  check int "same experiment count" (List.length plain) (List.length pruned);
-  check bool "no predicted rows without oracle" true
-    (List.for_all (fun r -> not r.Experiment.r_predicted) plain);
-  check bool "some rows pruned" true
-    (List.exists (fun r -> r.Experiment.r_predicted) pruned);
-  List.iter2
-    (fun (_ : Experiment.record) (b : Experiment.record) ->
-      if b.Experiment.r_predicted then
-        check bool "pruned row is Not_manifested" true
-          (b.Experiment.r_outcome = Outcome.Not_manifested))
-    plain pruned;
-  let keep =
-    List.combine plain pruned
-    |> List.filter (fun (_, b) -> not b.Experiment.r_predicted)
-    |> List.split
-  in
-  let plain', pruned' = keep in
-  check bool "CSV identical modulo predicted rows" true
-    (String.equal (Experiment.to_csv plain') (Experiment.to_csv pruned'))
 
 let suite =
   [
@@ -620,8 +569,6 @@ let suite =
     Alcotest.test_case "classification total; C = cond reversed" `Quick
       test_classify_total_and_campaign_c;
     Alcotest.test_case "expected classes present" `Quick test_classify_expected_classes;
-    Alcotest.test_case "pruner prunes exactly equivalents" `Quick
-      test_pruner_only_prunes_equivalent;
     Alcotest.test_case "campaign R classified" `Quick test_register_targets;
     Alcotest.test_case "callgraph over real kernel" `Quick test_callgraph_real_kernel;
     Alcotest.test_case "callgraph recursion + sccs" `Quick
@@ -635,6 +582,4 @@ let suite =
     Alcotest.test_case "interprocedural prunes strictly more" `Quick
       test_interprocedural_prunes_strictly_more;
     Alcotest.test_case "equivalent class is sound" `Slow test_equivalent_soundness;
-    Alcotest.test_case "pruned campaign CSV identical modulo predicted rows" `Slow
-      test_pruned_campaign_csv_identical;
   ]

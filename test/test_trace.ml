@@ -270,8 +270,8 @@ let test_jsonl_lint () =
     String.concat "\n"
       [
         {|{"type":"campaign_start","seq":0,"campaign":"A","targets":2,"subsample":1,"seed":42}|};
-        {|{"type":"target","seq":1,"campaign":"A","fn":"f","subsys":"mm","addr":"0xc0100000","byte":0,"bit":3,"workload":"spawn","outcome":"crash (dumped)","predicted":false,"retries":0,"wall_ms":1.5,"restore_ms":0.5,"exec_ms":0.9,"classify_ms":0.1,"cycles":1000}|};
-        {|{"type":"campaign_end","seq":2,"campaign":"A","targets":2,"run":2,"pruned":0,"activated":1,"aborted":0,"wall_s":0.1,"inj_per_s":20.0}|};
+        {|{"type":"target","seq":1,"campaign":"A","fn":"f","subsys":"mm","addr":"0xc0100000","byte":0,"bit":3,"workload":"spawn","outcome":"crash (dumped)","retries":0,"wall_ms":1.5,"restore_ms":0.5,"exec_ms":0.9,"classify_ms":0.1,"cycles":1000}|};
+        {|{"type":"campaign_end","seq":2,"campaign":"A","targets":2,"activated":1,"aborted":0,"wall_s":0.1,"inj_per_s":20.0}|};
         "";
       ]
   in
@@ -334,7 +334,6 @@ let test_csv_escaping () =
       r_target = t;
       r_workload = 0;
       r_outcome = Outcome.Fail_silence_violation ("bad, output", Outcome.Normal);
-      r_predicted = false;
       r_retries = 0;
     }
   in
@@ -381,7 +380,6 @@ let test_campaign_progress_and_telemetry () =
      Alcotest.fail (Printf.sprintf "campaign telemetry lint: line %d: %s" l e));
   let s = Telemetry.summary tm in
   check int "summary targets" n s.Telemetry.s_targets;
-  check int "summary run (nothing pruned)" n s.Telemetry.s_run;
   check bool "wall clock measured" true (s.Telemetry.s_wall_total > 0.);
   check bool "cycles counted" true (s.Telemetry.s_sim_cycles > 0);
   (* and the rendered report section mentions the throughput block *)
